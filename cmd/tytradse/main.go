@@ -54,6 +54,9 @@
 // reused by later runs. A warm run prints byte-identical output to the
 // cold run that populated the cache; a damaged cache entry is silently
 // recomputed and rewritten.
+//
+// Numeric flags are range-checked before any model is calibrated:
+// -maxlanes and -nki must be at least 1, -budget and -j at least 0.
 package main
 
 import (
@@ -141,6 +144,18 @@ func run(args []string, out io.Writer) error {
 		"persistent evaluation cache directory: calibrations, estimates and simulator measurements are reused across runs (warm runs print byte-identical output)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Numeric bounds are checked before anything else runs: calibration
+	// alone takes most of a second, and a bad value must not wait for it.
+	switch {
+	case *maxLanes < 1:
+		return fmt.Errorf("-maxlanes must be at least 1, got %d", *maxLanes)
+	case *nki < 1:
+		return fmt.Errorf("-nki must be at least 1, got %d", *nki)
+	case *budget < 0:
+		return fmt.Errorf("-budget must be 0 (unlimited) or positive, got %d", *budget)
+	case *jobs < 0:
+		return fmt.Errorf("-j must be 0 (all CPUs) or positive, got %d", *jobs)
 	}
 
 	st, err := dse.ParseStrategy(*strategy)

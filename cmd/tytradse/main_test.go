@@ -82,6 +82,37 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadNumericFlags: out-of-range numeric flags fail up
+// front with an error naming the flag, before any model is calibrated.
+func TestRunRejectsBadNumericFlags(t *testing.T) {
+	cases := []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-maxlanes", "0"}, "-maxlanes"},
+		{[]string{"-maxlanes", "-3"}, "-maxlanes"},
+		{[]string{"-nki", "0"}, "-nki"},
+		{[]string{"-nki", "-1"}, "-nki"},
+		{[]string{"-budget", "-5"}, "-budget"},
+		{[]string{"-j", "-2"}, "-j"},
+		{[]string{"-devices", "stratix-v-gsd8,virtex-7-690t", "-maxlanes", "0"}, "-maxlanes"},
+	}
+	for _, c := range cases {
+		var out strings.Builder
+		err := run(c.args, &out)
+		if err == nil {
+			t.Errorf("%v: no error", c.args)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("%v: error %q does not name %s", c.args, err, c.flag)
+		}
+		if strings.Contains(out.String(), "calibrating models") || strings.Contains(out.String(), "exploring across") {
+			t.Errorf("%v: work started before the flag was rejected:\n%s", c.args, out.String())
+		}
+	}
+}
+
 // TestRunUnknownTargetListsNames: the registry-backed lookup must name
 // the valid targets instead of leaving the user to guess (the old
 // parser silently special-cased "edu" and then listed only two names).

@@ -118,24 +118,25 @@ func (c SimConfig) withDefaults() SimConfig {
 // data-independent — but they are seed-stable so any two evaluations
 // of a variant see the same workload.
 func SimInputs(m *tir.Module, seed int64) (map[string][]int64, error) {
-	produced := map[string]bool{}
+	ix := m.Index()
+	produced := make(map[string]bool, len(m.Ports))
 	for _, port := range m.Ports {
 		if port.Dir != tir.DirOut {
 			continue
 		}
-		so := m.Stream(port.Stream)
+		so := ix.Stream(port.Stream)
 		if so == nil {
 			return nil, fmt.Errorf("dse: port @%s has no stream object", port.Name)
 		}
 		produced[so.Mem] = true
 	}
-	mem := map[string][]int64{}
+	mem := make(map[string][]int64, len(m.MemObjects))
 	rng := kernels.NewLCG(seed)
 	for _, port := range m.Ports {
 		if port.Dir != tir.DirIn {
 			continue
 		}
-		so := m.Stream(port.Stream)
+		so := ix.Stream(port.Stream)
 		if so == nil {
 			return nil, fmt.Errorf("dse: port @%s has no stream object", port.Name)
 		}
@@ -145,7 +146,7 @@ func SimInputs(m *tir.Module, seed int64) (map[string][]int64, error) {
 		if _, done := mem[so.Mem]; done {
 			continue
 		}
-		mo := m.MemObject(so.Mem)
+		mo := ix.MemObject(so.Mem)
 		if mo == nil {
 			return nil, fmt.Errorf("dse: stream %%%s has no memory object", so.Name)
 		}

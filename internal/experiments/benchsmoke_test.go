@@ -6,7 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/costmodel"
+	"repro/internal/device"
 	"repro/internal/kernels"
+	"repro/internal/membw"
+	"repro/internal/perf"
 	"repro/internal/pipesim"
 )
 
@@ -118,6 +122,99 @@ func TestDSEModelBenchSmoke(t *testing.T) {
 	for _, row := range r.Engine {
 		if row.Points < 100000 {
 			t.Errorf("j%d: synthetic space has %d points, want >= 100000", row.Workers, row.Points)
+		}
+	}
+}
+
+// maxNameResolutionRatio caps the time ratio of a large design over a
+// small one (~16x the ports) for the passes that resolve every port's
+// stream and memory object. Name resolution through a per-pass
+// tir.Index keeps them linear (~16-25x here); the per-lookup linear
+// scans they replaced were quadratic (~190x for perf.Extract).
+const maxNameResolutionRatio = 48
+
+// scalingRatio times small and large, each as the best of three short
+// batches so a noisy neighbour inflates neither side, and returns
+// large/small.
+func scalingRatio(small, large func() error) (ratio float64, smallNs, largeNs int64, err error) {
+	best := func(f func() error) (int64, error) {
+		var min int64
+		for r := 0; r < 3; r++ {
+			ns, err := timeIt(100*time.Millisecond, f)
+			if err != nil {
+				return 0, err
+			}
+			if r == 0 || ns < min {
+				min = ns
+			}
+		}
+		return min, nil
+	}
+	if smallNs, err = best(small); err != nil {
+		return 0, 0, 0, err
+	}
+	if largeNs, err = best(large); err != nil {
+		return 0, 0, 0, err
+	}
+	return float64(largeNs) / float64(smallNs), smallNs, largeNs, nil
+}
+
+// TestNameResolutionScalingSmoke gates the linear-time name resolution
+// of perf.Extract (sor, 64 vs 1008 lanes: 192 vs 3024 ports) and of
+// pipesim.CompileConfig (hotspot, 64 vs 1024 lanes) at
+// maxNameResolutionRatio.
+func TestNameResolutionScalingSmoke(t *testing.T) {
+	if !*benchSmoke {
+		t.Skip("timing smoke; enable with -experiments.benchsmoke")
+	}
+	tgt := device.GSD8Edu()
+	mdl, err := costmodel.Calibrate(tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw, err := membw.Build(tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extract := func(lanes int) func() error {
+		m, err := Fig15Spec(lanes).Module()
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := mdl.Estimate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() error {
+			_, err := perf.Extract(est, bw, perf.Workload{NKI: 10})
+			return err
+		}
+	}
+	compile := func(lanes int) func() error {
+		m, err := kernels.HotspotSpec{Rows: 2048, Cols: 128, Lanes: lanes}.Module()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() error {
+			_, err := pipesim.CompileConfig(m, pipesim.Config{})
+			return err
+		}
+	}
+	for _, c := range []struct {
+		name         string
+		small, large func() error
+	}{
+		{"perf.Extract sor 1008/64 lanes", extract(64), extract(1008)},
+		{"pipesim.CompileConfig hotspot 1024/64 lanes", compile(64), compile(1024)},
+	} {
+		ratio, smallNs, largeNs, err := scalingRatio(c.small, c.large)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		t.Logf("%s: %.1fx (%d ns vs %d ns)", c.name, ratio, largeNs, smallNs)
+		if ratio > maxNameResolutionRatio {
+			t.Errorf("%s: time ratio %.1fx exceeds %dx: name resolution has gone superlinear",
+				c.name, ratio, maxNameResolutionRatio)
 		}
 	}
 }

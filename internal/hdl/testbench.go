@@ -33,8 +33,9 @@ func EmitTestbench(m *tir.Module, mem map[string][]int64, expected map[string][]
 		data []int64
 	}
 	var ins, outs []stream
+	ix := m.Index()
 	for _, p := range m.Ports {
-		so := m.Stream(p.Stream)
+		so := ix.Stream(p.Stream)
 		if so == nil {
 			return "", fmt.Errorf("hdl: port @%s has no stream object", p.Name)
 		}
@@ -44,7 +45,7 @@ func EmitTestbench(m *tir.Module, mem map[string][]int64, expected map[string][]
 			if !ok {
 				// Locally-buffered inter-stage channels are driven by the
 				// design itself.
-				mo := m.MemObject(so.Mem)
+				mo := ix.MemObject(so.Mem)
 				if mo != nil && mo.Space == tir.SpaceLocal {
 					continue
 				}
@@ -54,7 +55,7 @@ func EmitTestbench(m *tir.Module, mem map[string][]int64, expected map[string][]
 		case tir.DirOut:
 			data, ok := expected[so.Mem]
 			if !ok {
-				mo := m.MemObject(so.Mem)
+				mo := ix.MemObject(so.Mem)
 				if mo != nil && mo.Space == tir.SpaceLocal {
 					continue
 				}

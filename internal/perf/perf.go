@@ -232,12 +232,13 @@ func Extract(est *costmodel.Estimate, bw *membw.Model, w Workload) (Params, erro
 		ngs        int64
 	)
 	nports := 0
+	ix := m.Index()
 	for _, port := range m.Ports {
-		so := m.Stream(port.Stream)
+		so := ix.Stream(port.Stream)
 		if so == nil {
 			return Params{}, fmt.Errorf("perf: port @%s has no stream object", port.Name)
 		}
-		mo := m.MemObject(so.Mem)
+		mo := ix.MemObject(so.Mem)
 		if mo == nil {
 			return Params{}, fmt.Errorf("perf: stream %%%s has no memory object", so.Name)
 		}

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -231,7 +232,7 @@ var (
 	extractErr  error
 )
 
-func extractFixtures(t *testing.T) (*costmodel.Model, *membw.Model) {
+func extractFixtures(t testing.TB) (*costmodel.Model, *membw.Model) {
 	t.Helper()
 	extractOnce.Do(func() {
 		tgt := device.StratixVGSD8()
@@ -295,5 +296,32 @@ func TestExtractRejectsBadWorkload(t *testing.T) {
 	}
 	if _, err := Extract(est, bw, Workload{NKI: 0}); err == nil {
 		t.Error("NKI=0 accepted")
+	}
+}
+
+// BenchmarkExtract times parameter extraction on the Fig 15 SOR family
+// at 64 and 1008 lanes (192 and 3024 ports). Extraction resolves every
+// port's stream and memory object, so ns/op should grow with the port
+// count, not with its square.
+func BenchmarkExtract(b *testing.B) {
+	mdl, bw := extractFixtures(b)
+	for _, lanes := range []int{64, 1008} {
+		spec := kernels.SORSpec{IM: 15, JM: 10, KM: 96096, Lanes: lanes}
+		m, err := spec.Module()
+		if err != nil {
+			b.Fatal(err)
+		}
+		est, err := mdl.Estimate(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("lanes="+strconv.Itoa(lanes), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Extract(est, bw, Workload{NKI: 10}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

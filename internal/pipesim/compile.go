@@ -222,9 +222,33 @@ func (st *progState) init(p *program) {
 	}
 }
 
+// compileEnv is the state one Compile shares across its call sites:
+// the design's name index, built once so that binding every port of an
+// N-lane design stays linear in N, and the scheduled pipeline depth
+// per PE function, which every call site of that function shares.
+type compileEnv struct {
+	m      *tir.Module
+	ix     *tir.Index
+	cfg    Config
+	depths map[*tir.Function]int
+}
+
+// pipelineDepth returns the memoised scheduled depth of fn's datapath.
+func (e *compileEnv) pipelineDepth(fn *tir.Function) (int, error) {
+	if d, ok := e.depths[fn]; ok {
+		return d, nil
+	}
+	d, err := pipelineDepth(e.m, fn)
+	if err != nil {
+		return 0, err
+	}
+	e.depths[fn] = d
+	return d, nil
+}
+
 // compiler carries the state of one lowering.
 type compiler struct {
-	m    *tir.Module
+	env  *compileEnv
 	fn   *tir.Function
 	prog *program
 
@@ -251,9 +275,10 @@ type constSlot struct {
 // comb children, pre-computes the fill terms, escalates the executor
 // (fusion, then batching — see cfg) and allocates the reusable
 // execution scratch.
-func compileCall(m *tir.Module, call *tir.CallInstr, fn *tir.Function, cfg Config) (*program, error) {
+func compileCall(env *compileEnv, call *tir.CallInstr, fn *tir.Function) (*program, error) {
+	ix, cfg := env.ix, env.cfg
 	c := &compiler{
-		m: m, fn: fn,
+		env: env, fn: fn,
 		prog:      &program{fn: fn},
 		slots:     map[string]int32{},
 		constIdx:  map[int64]int32{},
@@ -271,7 +296,7 @@ func compileCall(m *tir.Module, call *tir.CallInstr, fn *tir.Function, cfg Confi
 			return nil, fmt.Errorf("pipesim: call @%s: argument %d must wire a top-level port, got %s",
 				fn.Name, k, a)
 		}
-		port := m.Port(a.Name)
+		port := ix.Port(a.Name)
 		if port == nil {
 			return nil, fmt.Errorf("pipesim: call @%s: no port @%s", fn.Name, a.Name)
 		}
@@ -279,11 +304,11 @@ func compileCall(m *tir.Module, call *tir.CallInstr, fn *tir.Function, cfg Confi
 			return nil, fmt.Errorf("pipesim: call @%s: port @%s type %s does not match parameter %%%s type %s",
 				fn.Name, a.Name, port.Elem, param.Name, param.Ty)
 		}
-		so := m.Stream(port.Stream)
+		so := ix.Stream(port.Stream)
 		if so == nil {
 			return nil, fmt.Errorf("pipesim: port @%s has no stream object", a.Name)
 		}
-		mo := m.MemObject(so.Mem)
+		mo := ix.MemObject(so.Mem)
 		if mo == nil {
 			return nil, fmt.Errorf("pipesim: stream %%%s has no memory object", so.Name)
 		}
@@ -386,7 +411,7 @@ func compileCall(m *tir.Module, call *tir.CallInstr, fn *tir.Function, cfg Confi
 	// Fill terms, hoisted out of execute(): priming completes at a DMA
 	// burst boundary; drain is constant because every work-item runs
 	// every reduction.
-	depth, err := pipelineDepth(m, fn)
+	depth, err := env.pipelineDepth(fn)
 	if err != nil {
 		return nil, err
 	}
@@ -658,7 +683,7 @@ func uintBinUop(opc tir.Opcode, ty tir.Type) (uop, bool) {
 // fresh slots, and `out`-bound parameters define the parent wires the
 // call site names.
 func (c *compiler) inlineComb(call *tir.CallInstr) error {
-	callee := c.m.Func(call.Callee)
+	callee := c.env.ix.Func(call.Callee)
 	if callee == nil {
 		return fmt.Errorf("pipesim: @%s: unknown comb callee @%s", c.fn.Name, call.Callee)
 	}

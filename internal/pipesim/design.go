@@ -29,6 +29,7 @@ import (
 // run everywhere.
 type CompiledDesign struct {
 	m      *tir.Module
+	ix     *tir.Index // built once at compile; resolves call-site ports and RunWith inputs
 	tree   *tir.ConfigNode
 	cfg    Config
 	progs  map[*tir.CallInstr]*program
@@ -60,13 +61,15 @@ func CompileConfig(m *tir.Module, cfg Config) (*CompiledDesign, error) {
 	}
 	d := &CompiledDesign{
 		m:       m,
+		ix:      m.Index(),
 		tree:    tree,
 		cfg:     cfg,
 		progs:   map[*tir.CallInstr]*program{},
 		calls:   map[*tir.ConfigNode][]*tir.CallInstr{},
 		workers: runtime.GOMAXPROCS(0),
 	}
-	if err := d.compileTree(tree); err != nil {
+	env := &compileEnv{m: m, ix: d.ix, cfg: cfg, depths: map[*tir.Function]int{}}
+	if err := d.compileTree(env, tree); err != nil {
 		return nil, err
 	}
 	d.pool.New = func() any { return d.NewInstance() }
@@ -77,7 +80,7 @@ func CompileConfig(m *tir.Module, cfg Config) (*CompiledDesign, error) {
 // configuration tree, assigning each program its progState slot. Comb
 // children are inlined by their parent's compilation, not compiled as
 // PEs.
-func (d *CompiledDesign) compileTree(n *tir.ConfigNode) error {
+func (d *CompiledDesign) compileTree(env *compileEnv, n *tir.ConfigNode) error {
 	calls := n.Func.Calls()
 	d.calls[n] = calls
 	for i, child := range n.Children {
@@ -85,7 +88,7 @@ func (d *CompiledDesign) compileTree(n *tir.ConfigNode) error {
 			continue
 		}
 		if child.Mode == tir.ModePipe && len(child.Func.Params) > 0 {
-			p, err := compileCall(d.m, calls[i], child.Func, d.cfg)
+			p, err := compileCall(env, calls[i], child.Func)
 			if err != nil {
 				return err
 			}
@@ -93,7 +96,7 @@ func (d *CompiledDesign) compileTree(n *tir.ConfigNode) error {
 			d.nprogs++
 			d.progs[calls[i]] = p
 		}
-		if err := d.compileTree(child); err != nil {
+		if err := d.compileTree(env, child); err != nil {
 			return err
 		}
 	}
@@ -238,7 +241,7 @@ func (inst *Instance) RunWith(mem map[string][]int64, opts RunOptions) (*Result,
 	d := inst.d
 	st := &runState{mem: make(map[string][]int64, len(mem)+len(d.progs)), acc: map[string]int64{}}
 	for name, data := range mem {
-		mo := d.m.MemObject(name)
+		mo := d.ix.MemObject(name)
 		if mo == nil {
 			return nil, fmt.Errorf("pipesim: no memory object %q in module", name)
 		}

@@ -67,9 +67,10 @@ func runIterations(m *tir.Module, run func(map[string][]int64) (*Result, error),
 		return nil, fmt.Errorf("pipesim: iteration count must be positive, got %d", nki)
 	}
 	// Validate the feedback wiring up front.
+	ix := m.Index()
 	for out, in := range fb {
-		mo := m.MemObject(out)
-		mi := m.MemObject(in)
+		mo := ix.MemObject(out)
+		mi := ix.MemObject(in)
 		if mo == nil {
 			return nil, fmt.Errorf("pipesim: feedback source %q is not a memory object", out)
 		}

@@ -74,6 +74,7 @@ type pe struct {
 // sim carries module-wide execution state.
 type sim struct {
 	m   *tir.Module
+	ix  *tir.Index
 	mem map[string][]int64
 	acc map[string]int64
 }
@@ -87,9 +88,9 @@ func RunOracle(m *tir.Module, mem map[string][]int64) (*Result, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	s := &sim{m: m, mem: map[string][]int64{}, acc: map[string]int64{}}
+	s := &sim{m: m, ix: m.Index(), mem: map[string][]int64{}, acc: map[string]int64{}}
 	for name, data := range mem {
-		mo := m.MemObject(name)
+		mo := s.ix.MemObject(name)
 		if mo == nil {
 			return nil, fmt.Errorf("pipesim: no memory object %q in module", name)
 		}
@@ -230,7 +231,7 @@ func (s *sim) bind(call *tir.CallInstr, fn *tir.Function) (*pe, error) {
 			return nil, fmt.Errorf("pipesim: call @%s: argument %d must wire a top-level port, got %s",
 				fn.Name, k, a)
 		}
-		port := s.m.Port(a.Name)
+		port := s.ix.Port(a.Name)
 		if port == nil {
 			return nil, fmt.Errorf("pipesim: call @%s: no port @%s", fn.Name, a.Name)
 		}
@@ -238,11 +239,11 @@ func (s *sim) bind(call *tir.CallInstr, fn *tir.Function) (*pe, error) {
 			return nil, fmt.Errorf("pipesim: call @%s: port @%s type %s does not match parameter %%%s type %s",
 				fn.Name, a.Name, port.Elem, param.Name, param.Ty)
 		}
-		so := s.m.Stream(port.Stream)
+		so := s.ix.Stream(port.Stream)
 		if so == nil {
 			return nil, fmt.Errorf("pipesim: port @%s has no stream object", a.Name)
 		}
-		mo := s.m.MemObject(so.Mem)
+		mo := s.ix.MemObject(so.Mem)
 		if mo == nil {
 			return nil, fmt.Errorf("pipesim: stream %%%s has no memory object", so.Name)
 		}
@@ -453,7 +454,7 @@ func (s *sim) wave(fn *tir.Function, p *pe, roots map[string]streamRef, env map[
 // out-bound parameters define the corresponding parent wires.
 func (s *sim) inlineComb(parent *tir.Function, call *tir.CallInstr, env map[string]int64,
 	read func(tir.Operand, tir.Type) (int64, error)) error {
-	callee := s.m.Func(call.Callee)
+	callee := s.ix.Func(call.Callee)
 	if callee == nil {
 		return fmt.Errorf("pipesim: @%s: unknown comb callee @%s", parent.Name, call.Callee)
 	}

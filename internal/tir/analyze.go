@@ -14,16 +14,19 @@ func (m *Module) Analyze() diag.List {
 	if l.HasErrors() {
 		return l
 	}
-	a := &analysis{m: m, l: &l}
+	a := &analysis{m: m, ix: m.Index(), l: &l}
 	a.run()
 	l.Sort()
 	return l
 }
 
-// analysis carries one Analyze run.
+// analysis carries one Analyze run. Names resolve through one Index
+// built per run, so the per-call-site port checks stay linear in the
+// number of ports.
 type analysis struct {
-	m *Module
-	l *diag.List
+	m  *Module
+	ix *Index
+	l  *diag.List
 }
 
 func (a *analysis) run() {
@@ -63,7 +66,7 @@ func (a *analysis) run() {
 // least once (TIR043), and in/out streams sharing a memory object pin
 // the program to item order (TIR046, warning).
 func (a *analysis) checkPipeCallSite(parent *Function, call *CallInstr) {
-	callee := a.m.Func(call.Callee)
+	callee := a.ix.Func(call.Callee)
 	if callee == nil || len(call.Args) != len(callee.Params) {
 		return // reported by Check
 	}
@@ -88,7 +91,7 @@ func (a *analysis) checkPipeCallSite(parent *Function, call *CallInstr) {
 			wired = false
 			continue
 		}
-		port := a.m.Port(arg.Name)
+		port := a.ix.Port(arg.Name)
 		if port == nil {
 			a.l.Errorf(CodePortWiring, call.At,
 				"@%s: call @%s: no port @%s", parent.Name, callee.Name, arg.Name)
@@ -100,11 +103,11 @@ func (a *analysis) checkPipeCallSite(parent *Function, call *CallInstr) {
 				"@%s: call @%s: port @%s type %s does not match parameter %%%s type %s",
 				parent.Name, callee.Name, arg.Name, port.Elem, param.Name, param.Ty)
 		}
-		so := a.m.Stream(port.Stream)
+		so := a.ix.Stream(port.Stream)
 		if so == nil {
 			continue // reported by Check (TIR019)
 		}
-		mo := a.m.MemObject(so.Mem)
+		mo := a.ix.MemObject(so.Mem)
 		if mo == nil {
 			continue // reported by Check (TIR017)
 		}

@@ -462,7 +462,18 @@ type Function struct {
 
 // Calls returns the call instructions in the body, in order.
 func (f *Function) Calls() []*CallInstr {
-	var out []*CallInstr
+	n := 0
+	for _, in := range f.Body {
+		if _, ok := in.(*CallInstr); ok {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	// Sized up front: a par function of N lanes has N calls, and the
+	// validation passes list them several times per variant.
+	out := make([]*CallInstr, 0, n)
 	for _, in := range f.Body {
 		if c, ok := in.(*CallInstr); ok {
 			out = append(out, c)

@@ -26,7 +26,7 @@ func (m *Module) Check() diag.List {
 	}
 
 	// Manage-IR linkage.
-	memNames := map[string]bool{}
+	memNames := make(map[string]bool, len(m.MemObjects))
 	for _, mo := range m.MemObjects {
 		if memNames[mo.Name] {
 			l.Errorf(CodeDupMem, mo.At, "duplicate memory object %%%s", mo.Name)
@@ -42,7 +42,7 @@ func (m *Module) Check() diag.List {
 			l.Errorf(CodeBadStride, mo.At, "strided memory object %%%s needs a positive stride", mo.Name)
 		}
 	}
-	strNames := map[string]*StreamObject{}
+	strNames := make(map[string]*StreamObject, len(m.Streams))
 	for _, so := range m.Streams {
 		if _, dup := strNames[so.Name]; dup {
 			l.Errorf(CodeDupStream, so.At, "duplicate stream object %%%s", so.Name)
@@ -53,7 +53,7 @@ func (m *Module) Check() diag.List {
 			l.Errorf(CodeUnknownMem, so.At, "stream object %%%s references unknown memory object %%%s", so.Name, so.Mem)
 		}
 	}
-	portNames := map[string]bool{}
+	portNames := make(map[string]bool, len(m.Ports))
 	for _, p := range m.Ports {
 		if portNames[p.Name] {
 			l.Errorf(CodeDupPort, p.At, "duplicate port @%s", p.Name)
@@ -75,7 +75,7 @@ func (m *Module) Check() diag.List {
 
 	// Function-level checks. First definition wins on duplicates so that
 	// body checks still run against a consistent table.
-	fnNames := map[string]*Function{}
+	fnNames := make(map[string]*Function, len(m.Funcs))
 	linkOK := m.Main() != nil
 	for _, f := range m.Funcs {
 		if _, dup := fnNames[f.Name]; dup {
@@ -359,14 +359,18 @@ func (c Config) String() string {
 // that the composition is one the compiler supports. Callers must have
 // checked linkage (callees resolve, no recursion) first; Check does.
 func (m *Module) ConfigTree() (*ConfigNode, error) {
-	fns := map[string]*Function{}
+	fns := make(map[string]*Function, len(m.Funcs))
 	for _, f := range m.Funcs {
 		fns[f.Name] = f
 	}
 	var build func(f *Function) (*ConfigNode, error)
 	build = func(f *Function) (*ConfigNode, error) {
 		n := &ConfigNode{Func: f, Mode: f.Mode, Lanes: 1}
-		for _, c := range f.Calls() {
+		calls := f.Calls()
+		if len(calls) > 0 {
+			n.Children = make([]*ConfigNode, 0, len(calls))
+		}
+		for _, c := range calls {
 			child, err := build(fns[c.Callee])
 			if err != nil {
 				return nil, err
