@@ -320,13 +320,11 @@ func BenchmarkSynthesisSubstrate(b *testing.B) {
 // host. Each iteration builds a fresh engine so the memoised cache
 // starts cold.
 func BenchmarkEngineSweep(b *testing.B) {
+	// Calibrate once, outside the timed loop; every iteration's fresh
+	// evaluator shares the settled models.
 	target := device.GSD8Edu()
-	mdl, err := costmodel.Calibrate(target)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bw, err := membw.Build(target)
-	if err != nil {
+	models := dse.NewModelCache()
+	if _, _, err := models.Models(target); err != nil {
 		b.Fatal(err)
 	}
 	build := func(lanes int) (*tir.Module, error) {
@@ -348,9 +346,12 @@ func BenchmarkEngineSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
 			var res *dse.Result
 			for i := 0; i < b.N; i++ {
-				eng := dse.NewEngine(space,
-					dse.NewEvaluator(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB), j)
-				res, err = eng.Run(dse.Exhaustive{})
+				eval, err := dse.NewEvaluator(dse.EvalConfig{Build: build, Workload: perf.Workload{NKI: 10},
+					Form: perf.FormB, Shelf: []*device.Target{target}, Models: models})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err = dse.NewEngine(space, eval, j).Run(dse.Exhaustive{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -366,17 +367,15 @@ func BenchmarkEngineSweep(b *testing.B) {
 // small SOR instance the committed BENCH_DSE_SIM.json baseline
 // measures (experiments.DSESimBenchSpec). A fresh evaluator per
 // iteration: nothing memoised survives, so the number is the cost a
-// new DSE point pays, including the Runner compile on the sim-backed
+// new DSE point pays, including the design compile on the sim-backed
 // modes. Metrics: the per-instance simulated cycles (sim/hybrid) and
 // the model's CPKI estimate.
 func BenchmarkSimEvaluator(b *testing.B) {
+	// Calibrate once, outside the timed loop; every iteration's fresh
+	// evaluator shares the settled models.
 	target := device.GSD8Edu()
-	mdl, err := costmodel.Calibrate(target)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bw, err := membw.Build(target)
-	if err != nil {
+	models := dse.NewModelCache()
+	if _, _, err := models.Models(target); err != nil {
 		b.Fatal(err)
 	}
 	build := func(lanes int) (*tir.Module, error) {
@@ -391,8 +390,9 @@ func BenchmarkSimEvaluator(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			var p *dse.Point
 			for i := 0; i < b.N; i++ {
-				eval, err := dse.NewModeEvaluator(mode, mdl, bw, build,
-					perf.Workload{NKI: 10}, perf.FormB, dse.SimConfig{})
+				eval, err := dse.NewEvaluator(dse.EvalConfig{Mode: mode, Build: build,
+					Workload: perf.Workload{NKI: 10}, Form: perf.FormB,
+					Shelf: []*device.Target{target}, Models: models})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -559,7 +559,8 @@ func BenchmarkPipesimConcurrent(b *testing.B) {
 	}
 }
 
-// BenchmarkPipesimExecutors prices the hot (pre-compiled Runner) path
+// BenchmarkPipesimExecutors prices the hot path (one reused instance of
+// a compiled design)
 // at both executor escalation levels: the scalar per-item loop and the
 // batched+fused sweep. The ratio between the two sub-benchmarks is the
 // speedup_vs_scalar column of BENCH_PIPESIM.json; the CI bench smoke in
@@ -576,14 +577,15 @@ func BenchmarkPipesimExecutors(b *testing.B) {
 		for _, lvl := range levels {
 			b.Run(spec.Name()+"/"+lvl.name, func(b *testing.B) {
 				m, mem := benchBind(b, spec)
-				r, err := pipesim.NewRunnerConfig(m, lvl.cfg)
+				d, err := pipesim.CompileConfig(m, lvl.cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
+				inst := d.NewInstance()
 				var res *pipesim.Result
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err = r.Run(mem)
+					res, err = inst.Run(mem)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -611,8 +613,8 @@ func BenchmarkPipesimOracle(b *testing.B) {
 	}
 }
 
-// BenchmarkPipesimIterations prices the form-B iteration loop on a
-// reused Runner: per-kernel feedback wiring (the stencil kernels feed
+// BenchmarkPipesimIterations prices the form-B iteration loop on one
+// reused instance of a compiled design: per-kernel feedback wiring (the stencil kernels feed
 // their output field back; lavamd re-runs its pairs), nki instances per
 // op. This is the path examples/weather-sim and simulation-backed DSE
 // sit on.
@@ -627,15 +629,16 @@ func BenchmarkPipesimIterations(b *testing.B) {
 	for _, spec := range experiments.PipesimBenchSpecs() {
 		b.Run(spec.Name(), func(b *testing.B) {
 			m, mem := benchBind(b, spec)
-			r, err := pipesim.NewRunner(m)
+			d, err := pipesim.Compile(m)
 			if err != nil {
 				b.Fatal(err)
 			}
+			inst := d.NewInstance()
 			fb := feedback[spec.Name()]
 			var res *pipesim.IterationResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err = r.RunIterations(mem, nki, fb)
+				res, err = inst.RunIterations(mem, nki, fb)
 				if err != nil {
 					b.Fatal(err)
 				}

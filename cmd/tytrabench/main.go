@@ -16,8 +16,9 @@
 // With -json the tool instead emits a machine-readable benchmark
 // report; -report selects which one. "pipesim" (the default) times the
 // golden kernels through the interpreter oracle, the compile-per-call
-// executor and the compile-once Runner; "dse-sim" times one cold
-// variant evaluation per DSE scorer (model, sim, hybrid); "dse-model"
+// executor and a reused instance of a compiled design; "dse-sim" times
+// one cold variant evaluation per DSE scorer (model, sim, hybrid);
+// "dse-model"
 // times the compiled cost model against the tree-walk oracle per
 // corpus kernel plus the engine's 100k-point synthetic sweep
 // throughput; "dse-strat" records the strategy comparison —

@@ -274,8 +274,13 @@ func runDevices(out io.Writer, opt options, names []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.ExploreDevicesStore(opt.mode, shelf, build, space, perf.Workload{NKI: opt.nki},
-		opt.form, opt.strategy, opt.jobs, opt.simConfig(), opt.search, opt.store)
+	eval, err := dse.NewEvaluator(dse.EvalConfig{Mode: opt.mode, Build: build,
+		Workload: perf.Workload{NKI: opt.nki}, Form: opt.form, Sim: opt.simConfig(),
+		Shelf: shelf, Models: dse.NewModelCacheStore(opt.store)})
+	if err != nil {
+		return err
+	}
+	res, err := dse.NewEngine(space, eval, opt.jobs).Search(opt.strategy, opt.search)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/dse"
 	"repro/internal/kernels"
@@ -68,8 +67,12 @@ func main() {
 
 	fmt.Printf("exploring %d points (%d lane variants x %d devices)...\n\n",
 		space.Size(), space.Size()/len(shelf), len(shelf))
-	res, err := core.ExploreDevices(dse.EvalModel, shelf, build, space,
-		perf.Workload{NKI: 10}, perf.FormB, dse.ParetoFrontier{}, 0, dse.SimConfig{}, dse.SearchOptions{})
+	eval, err := dse.NewEvaluator(dse.EvalConfig{Build: build, Workload: perf.Workload{NKI: 10},
+		Form: perf.FormB, Shelf: shelf})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := dse.NewEngine(space, eval, 0).Run(dse.ParetoFrontier{})
 	if err != nil {
 		log.Fatal(err)
 	}

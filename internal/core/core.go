@@ -2,7 +2,9 @@
 // handle that bundles the calibrated resource cost model, the empirical
 // bandwidth model and the target description, and drives the
 // Parse → Validate → Cost → Explore → Emit-HDL pipeline the command-line
-// tools and examples use.
+// tools and examples use. Its one exploration entry, ExploreSpaceMode,
+// runs dse.NewEvaluator on the compiler's target; cross-device
+// explorations use dse directly.
 //
 // Constructing a Compiler performs the one-time per-target work of
 // Fig 2 — the synthesis probe calibration and the STREAM-style bandwidth
@@ -167,80 +169,34 @@ func (c *Compiler) SimDesign(m *tir.Module) (*pipesim.CompiledDesign, error) {
 	return pipesim.Compile(m)
 }
 
-// SimRunner validates and compiles the design variant once, returning
-// the reusable single-goroutine simulator arena.
+// ExploreSpaceMode explores a design space (lanes × DV × form × fclk,
+// see dse.NewSpace) on the compiler's target under a pluggable
+// strategy, evaluating points concurrently on workers goroutines (<= 0
+// selects GOMAXPROCS). mode selects the variant scorer (the -eval flag
+// of cmd/tytradse): the EKIT cost model, the cycle-accurate pipeline
+// simulator, or the hybrid cross-check that ranks by the model and
+// records simulated cycles on every point (see report.Calibration).
+// form is the default when the space has no form axis; sim configures
+// the simulation workload and the cost-model implementation; opts
+// carries the search budget and seed (the zero value is an unlimited,
+// default-seeded run). The compiler's calibrated models price the
+// points as they are — nothing is recalibrated — and its Store, when
+// set, persists estimates and measurements.
 //
-// Deprecated: a Runner is one design + one instance and cannot be
-// shared across goroutines. New code should use SimDesign and run
-// pooled instances of it.
-func (c *Compiler) SimRunner(m *tir.Module) (*pipesim.Runner, error) {
-	return pipesim.NewRunner(m)
-}
-
-// Explore sweeps a variant family and returns the costed design space
-// with its walls and the selected best variant (Fig 15). It is the
-// one-axis exhaustive special case of ExploreSpace.
-func (c *Compiler) Explore(build dse.VariantBuilder, lanes []int, w perf.Workload, form perf.Form) (*dse.Sweep, error) {
-	return dse.SweepLanes(c.Model, c.BW, build, lanes, w, form)
-}
-
-// ExploreSpace explores an N-dimensional design space (lanes × DV ×
-// form × fclk, see dse.NewSpace) under a pluggable strategy,
-// evaluating points concurrently on workers goroutines (<= 0 selects
-// GOMAXPROCS). form is the default when the space has no form axis.
-func (c *Compiler) ExploreSpace(build dse.VariantBuilder, space *dse.Space, w perf.Workload,
-	form perf.Form, st dse.Strategy, workers int) (*dse.Result, error) {
-	return c.ExploreSpaceMode(dse.EvalModel, build, space, w, form, st, workers,
-		dse.SimConfig{}, dse.SearchOptions{})
-}
-
-// ExploreSpaceMode is ExploreSpace with a selectable variant scorer
-// (the -eval flag of cmd/tytradse): the EKIT cost model, the
-// cycle-accurate pipeline simulator, or the hybrid cross-check that
-// ranks by the model and records simulated cycles on every point (see
-// report.Calibration). sim configures the simulation workload and is
-// ignored under dse.EvalModel. opts carries the search budget and
-// seed (the -budget/-seed flags); the zero value is an unlimited,
-// default-seeded run.
+// It is dse.NewEvaluator over a one-entry shelf; explorations across
+// several targets build that evaluator directly (dse.EvalConfig.Shelf
+// with a dse.DeviceAxis).
 func (c *Compiler) ExploreSpaceMode(mode dse.EvalMode, build dse.VariantBuilder,
 	space *dse.Space, w perf.Workload, form perf.Form, st dse.Strategy, workers int,
 	sim dse.SimConfig, opts dse.SearchOptions) (*dse.Result, error) {
-	eval, err := dse.NewModeEvaluatorStore(mode, c.Model, c.BW, build, w, form, sim, c.Store)
+	models := dse.NewModelCacheStore(c.Store)
+	if err := models.Add(c.Target, c.Model, c.BW); err != nil {
+		return nil, err
+	}
+	eval, err := dse.NewEvaluator(dse.EvalConfig{Mode: mode, Build: build, Workload: w, Form: form,
+		Sim: sim, Shelf: []*device.Target{c.Target}, Models: models})
 	if err != nil {
 		return nil, err
 	}
-	eng := dse.NewEngine(space, eval, workers)
-	return eng.Search(st, opts)
-}
-
-// ExploreDevices explores a design space that includes the device
-// axis: one engine run sweeping the variant family across a shelf of
-// targets (lanes × form × … × device). Unlike the Compiler methods it
-// is not bound to a single pre-calibrated target — the per-device
-// evaluator calibrates the cost and bandwidth models lazily, exactly
-// once per shelf entry (dse.ModelCache), so Fig 2's one-time-per-target
-// work is paid only for devices the strategy actually visits. The
-// space's device axis must be built from the same shelf slice
-// (dse.DeviceAxis(shelf...)); per-device slices of the result are
-// point-identical to single-device ExploreSpaceMode runs.
-func ExploreDevices(mode dse.EvalMode, shelf []*device.Target, build dse.VariantBuilder,
-	space *dse.Space, w perf.Workload, form perf.Form, st dse.Strategy, workers int,
-	sim dse.SimConfig, opts dse.SearchOptions) (*dse.Result, error) {
-	return ExploreDevicesStore(mode, shelf, build, space, w, form, st, workers, sim, opts, nil)
-}
-
-// ExploreDevicesStore is ExploreDevices backed by a persistent
-// evaluation store: per-device calibrations, model estimates and
-// simulator measurements are all answered from their content-addressed
-// records when present and archived when recomputed. A nil store is the
-// plain in-memory exploration.
-func ExploreDevicesStore(mode dse.EvalMode, shelf []*device.Target, build dse.VariantBuilder,
-	space *dse.Space, w perf.Workload, form perf.Form, st dse.Strategy, workers int,
-	sim dse.SimConfig, opts dse.SearchOptions, store *evalstore.Store) (*dse.Result, error) {
-	eval, err := dse.NewDeviceModeEvaluatorStore(mode, shelf, build, w, form, sim, store)
-	if err != nil {
-		return nil, err
-	}
-	eng := dse.NewEngine(space, eval, workers)
-	return eng.Search(st, opts)
+	return dse.NewEngine(space, eval, workers).Search(st, opts)
 }

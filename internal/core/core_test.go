@@ -111,19 +111,20 @@ func TestCompilerSimulate(t *testing.T) {
 		t.Error("accumulator mismatch")
 	}
 
-	// The reusable arena must agree with the one-shot path across
-	// repeated instances.
-	r, err := c.SimRunner(m)
+	// One reused instance of the compiled design must agree with the
+	// one-shot path across repeated runs.
+	d, err := c.SimDesign(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := d.NewInstance()
 	for k := 0; k < 3; k++ {
-		again, err := r.Run(mem)
+		again, err := inst.Run(mem)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if again.Cycles != res.Cycles || again.Acc["potAcc"] != res.Acc["potAcc"] {
-			t.Fatalf("run %d: runner diverged from Simulate", k)
+			t.Fatalf("run %d: reused instance diverged from Simulate", k)
 		}
 	}
 }
@@ -133,7 +134,16 @@ func TestCompilerExplore(t *testing.T) {
 	build := func(lanes int) (*tir.Module, error) {
 		return kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: lanes}.Module()
 	}
-	sw, err := c.Explore(build, dse.LaneCounts(4), perf.Workload{NKI: 100}, perf.FormB)
+	space, err := dse.NewSpace(dse.LanesAxis(dse.LaneCounts(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.ExploreSpaceMode(dse.EvalModel, build, space, perf.Workload{NKI: 100}, perf.FormB,
+		dse.Exhaustive{}, 0, dse.SimConfig{}, dse.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := res.Sweep(perf.FormB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,5 +187,54 @@ func TestFormCFeasibilityGate(t *testing.T) {
 	}
 	if _, err := c.Cost(huge, perf.Workload{NKI: 10}, perf.FormB); err != nil {
 		t.Errorf("form B rejected: %v", err)
+	}
+}
+
+// TestDSEFormCFitsMatchesCost: under form C the exploration's Fits
+// agrees with Cost's feasibility gate. A variant fits exactly when
+// Cost accepts it and its resources fit the device, so the DSE can
+// never select a form-C design Cost would refuse.
+func TestDSEFormCFitsMatchesCost(t *testing.T) {
+	c, err := New(device.GSD8Edu())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := perf.Workload{NKI: 10}
+	lanes := []int{1, 2, 3, 4}
+	families := map[string]func(lanes int) kernels.Spec{
+		"sor":     func(l int) kernels.Spec { return kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: l} },
+		"hotspot": func(l int) kernels.Spec { return kernels.HotspotSpec{Rows: 384, Cols: 682, Lanes: l} },
+	}
+	fits := map[bool]int{}
+	for name, family := range families {
+		build := func(l int) (*tir.Module, error) { return family(l).Module() }
+		space, err := dse.NewSpace(dse.LanesAxis(lanes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.ExploreSpaceMode(dse.EvalModel, build, space, w, perf.FormC,
+			dse.Exhaustive{}, 0, dse.SimConfig{}, dse.SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range res.Points {
+			m, err := build(lanes[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := c.Cost(m, w, perf.FormC)
+			want := err == nil && rep.Est.Fits()
+			if p.Fits != want {
+				t.Errorf("%s at %d lanes: DSE fits=%v, Cost accepts and fits=%v (Cost error: %v)",
+					name, lanes[i], p.Fits, want, err)
+			}
+			fits[p.Fits]++
+		}
+		if name == "hotspot" && res.Best != nil {
+			t.Errorf("hotspot: form C selected %d lanes, but its working set never fits on chip", res.Best.Lanes)
+		}
+	}
+	if fits[true] == 0 || fits[false] == 0 {
+		t.Errorf("the corpus must exercise both outcomes, got %v", fits)
 	}
 }

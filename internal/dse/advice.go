@@ -3,6 +3,8 @@ package dse
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/perf"
 )
 
 // Advice is the targeted-tuning feedback the cost model enables: the
@@ -29,6 +31,12 @@ func Advise(sw *Sweep) Advice {
 		a.Wall = "compute-wall"
 		a.Actions = []string{
 			"no variant fits: reduce per-lane logic (narrower datapath, share dividers) or target a larger device",
+		}
+		if sw.Form == perf.FormC {
+			// Form C also needs the NDRange staged in block RAM.
+			a.Actions = append([]string{
+				"form C needs the whole NDRange in block RAM beside the design: use form B, or tile the index space",
+			}, a.Actions...)
 		}
 		return a
 	}

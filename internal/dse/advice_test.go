@@ -46,6 +46,12 @@ func TestAdviseNoFit(t *testing.T) {
 	if len(a.Actions) == 0 || !strings.Contains(a.Actions[0], "larger device") {
 		t.Errorf("no-fit advice should mention a larger device: %v", a.Actions)
 	}
+	// Under form C nothing fits when the NDRange cannot be staged on
+	// chip, so the first suggestion is the form that does not stage it.
+	c := Advise(&Sweep{Form: perf.FormC})
+	if len(c.Actions) < 2 || !strings.Contains(c.Actions[0], "form B") {
+		t.Errorf("form-C no-fit advice should suggest form B first: %v", c.Actions)
+	}
 }
 
 func TestAdviseBandwidthWalls(t *testing.T) {

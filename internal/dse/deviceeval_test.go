@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -31,18 +32,18 @@ func deviceEngine(t *testing.T, mode EvalMode, shelf []*device.Target, workers i
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := NewDeviceModeEvaluatorCache(mode, shelf, build, perf.Workload{NKI: 10}, perf.FormB,
-		SimConfig{}, cache)
+	eval, err := NewEvaluator(EvalConfig{Mode: mode, Build: build, Workload: perf.Workload{NKI: 10},
+		Form: perf.FormB, Shelf: shelf, Models: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return NewEngine(space, eval, workers)
 }
 
-// TestDifferentialDeviceShelf pins the tentpole guarantee: every
+// TestDifferentialDeviceShelf pins the shelf guarantee: every
 // per-device row of a cross-device exploration is identical to the
-// corresponding single-device sweep run through the standard
-// evaluator with freshly calibrated models.
+// corresponding single-target sweep (a one-entry shelf without a
+// device axis) over freshly calibrated models.
 func TestDifferentialDeviceShelf(t *testing.T) {
 	shelf := testShelf(t)
 	multi, err := deviceEngine(t, EvalModel, shelf, 0, sorBuilder, nil).Run(Exhaustive{})
@@ -61,7 +62,7 @@ func TestDifferentialDeviceShelf(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := SweepLanes(mdl, bw, sorBuilder, []int{1, 2, 4, 8},
+		single, err := sweepLanes(t, mdl, bw, sorBuilder, []int{1, 2, 4, 8},
 			perf.Workload{NKI: 10}, perf.FormB)
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +83,7 @@ func TestDifferentialDeviceShelf(t *testing.T) {
 			if got.Device != tgt.Name {
 				t.Errorf("%s: point %d labelled %q", tgt.Name, i, got.Device)
 			}
-			got.Device = "" // the only field single-device evaluation leaves empty
+			got.Device = "" // the only field a space without a device axis leaves empty
 			samePoint(t, tgt.Name, got, single.Points[i], true)
 		}
 		if sw.ComputeWall != single.ComputeWall || sw.HostWall != single.HostWall ||
@@ -121,8 +122,8 @@ func TestDeviceModelCacheCalibratesOncePerDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	for run := 0; run < 2; run++ { // a second engine over the same cache adds nothing
-		eval, err := NewDeviceModeEvaluatorCache(EvalModel, shelf, sorBuilder,
-			perf.Workload{NKI: 10}, perf.FormB, SimConfig{}, cache)
+		eval, err := NewEvaluator(EvalConfig{Build: sorBuilder, Workload: perf.Workload{NKI: 10},
+			Form: perf.FormB, Shelf: shelf, Models: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,8 +208,8 @@ func TestDeviceAxisSimSharedMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := NewDeviceModeEvaluator(EvalHybrid, shelf, build,
-		perf.Workload{NKI: 10}, perf.FormB, SimConfig{})
+	eval, err := NewEvaluator(EvalConfig{Mode: EvalHybrid, Build: build,
+		Workload: perf.Workload{NKI: 10}, Form: perf.FormB, Shelf: shelf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,25 +240,90 @@ func TestDeviceAxisSimSharedMeasurement(t *testing.T) {
 	}
 }
 
+// TestNewEvaluatorValidatesConfig: every malformed config is rejected
+// by NewEvaluator itself, before any calibration or module build.
+func TestNewEvaluatorValidatesConfig(t *testing.T) {
+	shelf := testShelf(t)
+	var calibrations, bwBuilds, moduleBuilds atomic.Int64
+	cache := NewModelCache()
+	cache.calibrate = func(tgt *device.Target) (*costmodel.Model, error) {
+		calibrations.Add(1)
+		return costmodel.Calibrate(tgt)
+	}
+	cache.buildBW = func(tgt *device.Target) (*membw.Model, error) {
+		bwBuilds.Add(1)
+		return membw.Build(tgt)
+	}
+	build := func(lanes int) (*tir.Module, error) {
+		moduleBuilds.Add(1)
+		return sorBuilder(lanes)
+	}
+	cases := []struct {
+		name string
+		cfg  EvalConfig
+		want string
+	}{
+		{"unknown mode", EvalConfig{Mode: EvalMode(99), Build: build, Shelf: shelf}, "unknown evaluation mode"},
+		{"nil builder", EvalConfig{Shelf: shelf}, "nil variant builder"},
+		{"empty shelf", EvalConfig{Build: build}, "empty device shelf"},
+		{"nil shelf entry", EvalConfig{Build: build, Shelf: []*device.Target{shelf[0], nil}},
+			"nil device at shelf position 1"},
+		{"duplicate name", EvalConfig{Build: build,
+			Shelf: []*device.Target{shelf[0], shelf[1], device.GSD8Edu()}}, "appears twice"},
+	}
+	for _, c := range cases {
+		c.cfg.Models = cache
+		if _, err := NewEvaluator(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+	if n, m, b := calibrations.Load(), bwBuilds.Load(), moduleBuilds.Load(); n != 0 || m != 0 || b != 0 {
+		t.Errorf("rejected configs did work: %d calibrations, %d bandwidth builds, %d module builds", n, m, b)
+	}
+	// A valid config is lazy too: construction calibrates nothing.
+	cfg := EvalConfig{Mode: EvalHybrid, Build: build, Shelf: shelf, Models: cache}
+	if _, err := NewEvaluator(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n, b := calibrations.Load(), moduleBuilds.Load(); n != 0 || b != 0 {
+		t.Errorf("construction did work: %d calibrations, %d module builds", n, b)
+	}
+}
+
+// TestModelCacheAdd: Add settles a target from models the caller
+// holds, so Models answers without calibrating, and rejects a retuned
+// description under the same name.
+func TestModelCacheAdd(t *testing.T) {
+	mdl, bw := fixtures(t)
+	cache := NewModelCache()
+	cache.calibrate = func(*device.Target) (*costmodel.Model, error) {
+		t.Error("Models calibrated a target settled by Add")
+		return nil, fmt.Errorf("calibrated")
+	}
+	if err := cache.Add(device.GSD8Edu(), mdl, bw); err != nil {
+		t.Fatal(err)
+	}
+	gotMdl, gotBW, err := cache.Models(device.GSD8Edu())
+	if err != nil || gotMdl != mdl || gotBW != bw {
+		t.Fatalf("Models after Add = %p, %p, %v; want the added pair", gotMdl, gotBW, err)
+	}
+	if err := cache.Add(device.GSD8Edu(), mdl, bw); err != nil {
+		t.Errorf("re-adding the same description: %v", err)
+	}
+	tuned := device.GSD8Edu()
+	tuned.Capacity.ALUTs *= 2
+	if err := cache.Add(tuned, mdl, bw); err == nil || !strings.Contains(err.Error(), "different description") {
+		t.Errorf("retuned target added: %v", err)
+	}
+	if err := cache.Add(device.GSD8Edu(), nil, bw); err == nil {
+		t.Error("nil model added")
+	}
+}
+
 // TestDeviceEvaluatorRejections: mis-wired shelves and unsupported
 // axes fail loudly.
 func TestDeviceEvaluatorRejections(t *testing.T) {
 	shelf := testShelf(t)
-	if _, err := NewDeviceEvaluator(nil, sorBuilder, perf.Workload{NKI: 10}, perf.FormB); err == nil {
-		t.Error("empty shelf accepted")
-	}
-	if _, err := NewDeviceEvaluator([]*device.Target{shelf[0], nil}, sorBuilder,
-		perf.Workload{NKI: 10}, perf.FormB); err == nil {
-		t.Error("nil shelf entry accepted")
-	}
-	if _, err := NewDeviceEvaluator([]*device.Target{shelf[0], shelf[0]}, sorBuilder,
-		perf.Workload{NKI: 10}, perf.FormB); err == nil {
-		t.Error("duplicate shelf entry accepted")
-	}
-	if _, err := NewDeviceModeEvaluator(EvalMode(99), shelf, sorBuilder,
-		perf.Workload{NKI: 10}, perf.FormB, SimConfig{}); err == nil {
-		t.Error("unknown mode accepted")
-	}
 
 	// Axis built from a different (reordered) shelf: the label
 	// cross-check must catch it before any point is priced on the wrong
@@ -267,7 +333,8 @@ func TestDeviceEvaluatorRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := NewDeviceEvaluator(shelf, sorBuilder, perf.Workload{NKI: 10}, perf.FormB)
+	eval, err := NewEvaluator(EvalConfig{Build: sorBuilder, Workload: perf.Workload{NKI: 10},
+		Form: perf.FormB, Shelf: shelf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +359,8 @@ func TestDeviceEvaluatorRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simEval, err := NewDeviceModeEvaluator(EvalSim, shelf, sorBuilder,
-		perf.Workload{NKI: 10}, perf.FormB, SimConfig{})
+	simEval, err := NewEvaluator(EvalConfig{Mode: EvalSim, Build: sorBuilder,
+		Workload: perf.Workload{NKI: 10}, Form: perf.FormB, Shelf: shelf})
 	if err != nil {
 		t.Fatal(err)
 	}

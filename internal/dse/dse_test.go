@@ -26,7 +26,7 @@ var (
 	fixErr  error
 )
 
-func fixtures(t *testing.T) (*costmodel.Model, *membw.Model) {
+func fixtures(t testing.TB) (*costmodel.Model, *membw.Model) {
 	t.Helper()
 	fixOnce.Do(func() {
 		tgt := device.GSD8Edu()
@@ -44,10 +44,56 @@ func fixtures(t *testing.T) (*costmodel.Model, *membw.Model) {
 
 func sorBuilder(lanes int) (*tir.Module, error) { return fig15Spec(lanes).Module() }
 
+// testEval builds an evaluator over a one-entry shelf holding mdl's
+// target, settled in cfg.Models (a fresh ModelCache when nil) with the
+// given models, so nothing is calibrated again.
+func testEval(t testing.TB, mdl *costmodel.Model, bw *membw.Model, cfg EvalConfig) Evaluator {
+	t.Helper()
+	cfg.Shelf = []*device.Target{mdl.Target}
+	if cfg.Models == nil {
+		cfg.Models = NewModelCache()
+	}
+	if err := cfg.Models.Add(mdl.Target, mdl, bw); err != nil {
+		t.Fatal(err)
+	}
+	ev, err := NewEvaluator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
+// sorEval is the evaluator most engine tests share: the Fig 15 SOR
+// family at NKI=10 under form B, scored by the model on the fixtures
+// target.
+func sorEval(t testing.TB) Evaluator {
+	t.Helper()
+	mdl, bw := fixtures(t)
+	return testEval(t, mdl, bw, EvalConfig{Build: sorBuilder, Workload: perf.Workload{NKI: 10}, Form: perf.FormB})
+}
+
+// sweepLanes is the one-axis exhaustive lanes exploration through the
+// engine, converted to the Sweep shape the frozen legacy
+// implementation returns.
+func sweepLanes(t testing.TB, mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
+	lanes []int, w perf.Workload, form perf.Form) (*Sweep, error) {
+	t.Helper()
+	space, err := NewSpace(LanesAxis(lanes))
+	if err != nil {
+		return nil, err
+	}
+	ev := testEval(t, mdl, bw, EvalConfig{Build: build, Workload: w, Form: form})
+	res, err := NewEngine(space, ev, 0).Run(Exhaustive{})
+	if err != nil {
+		return nil, err
+	}
+	return res.Sweep(form)
+}
+
 func sweep(t *testing.T, form perf.Form) *Sweep {
 	t.Helper()
 	mdl, bw := fixtures(t)
-	sw, err := SweepLanes(mdl, bw, sorBuilder, LaneCounts(16), perf.Workload{NKI: 10}, form)
+	sw, err := sweepLanes(t, mdl, bw, sorBuilder, LaneCounts(16), perf.Workload{NKI: 10}, form)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +187,13 @@ func TestBestVariantSelection(t *testing.T) {
 
 func TestSweepErrors(t *testing.T) {
 	mdl, bw := fixtures(t)
-	if _, err := SweepLanes(mdl, bw, sorBuilder, nil, perf.Workload{NKI: 10}, perf.FormA); err == nil {
+	if _, err := sweepLanes(t, mdl, bw, sorBuilder, nil, perf.Workload{NKI: 10}, perf.FormA); err == nil {
 		t.Error("empty lane list accepted")
 	}
 	bad := func(lanes int) (*tir.Module, error) {
 		return kernels.SORSpec{IM: 0, JM: 0, KM: 0, Lanes: lanes}.Module()
 	}
-	if _, err := SweepLanes(mdl, bw, bad, []int{1}, perf.Workload{NKI: 10}, perf.FormA); err == nil {
+	if _, err := sweepLanes(t, mdl, bw, bad, []int{1}, perf.Workload{NKI: 10}, perf.FormA); err == nil {
 		t.Error("broken builder accepted")
 	}
 }

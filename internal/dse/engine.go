@@ -116,11 +116,10 @@ func ParseModelEval(s string) (ModelEvalMode, error) {
 	return 0, fmt.Errorf("dse: unknown model evaluation mode %q (have: %v)", s, ModelEvalNames())
 }
 
-// modelEval is the memoised core of the cost-model evaluator: module
-// builds per lane count and estimates per (lanes, dv), shared between
-// the standard evaluator and the simulation-backed evaluators (which
-// need the same model-side point for the resource bars, the walls and
-// the calibration cross-check).
+// modelEval is the memoised cost-model half of the evaluator for one
+// shelf entry: estimates per (lanes, dv) over the shelf-wide module
+// cache. Every mode prices through it, so the resource bars, the walls
+// and the calibration cross-check see the same model-side point.
 type modelEval struct {
 	mdl  *costmodel.Model
 	bw   *membw.Model
@@ -141,23 +140,10 @@ type modelEval struct {
 	// estimateFn is a test seam wrapping the estimator; the warm==cold
 	// differential tests count recomputations through it. nil selects
 	// the estimator emode names.
-	estimateFn func(m *tir.Module, dv int) (*costmodel.Estimate, error)
+	estimateFn func(mdl *costmodel.Model, m *tir.Module, dv int) (*costmodel.Estimate, error)
 
 	ests     sync.Map // [2]int{lanes, dv} -> *onceCell[*costmodel.Estimate]
 	compiled sync.Map // lanes int -> *onceCell[*costmodel.CompiledModel]
-}
-
-func newModelEval(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
-	w perf.Workload, form perf.Form, emode ModelEvalMode, store *evalstore.Store) *modelEval {
-	return newModelEvalShared(mdl, bw, newModuleCache(build), w, form, emode, store)
-}
-
-// newModelEvalShared wires a modelEval to an externally shared module
-// cache (the per-device evaluators build one modelEval per shelf entry
-// over a single cache).
-func newModelEvalShared(mdl *costmodel.Model, bw *membw.Model, mods *moduleCache,
-	w perf.Workload, form perf.Form, emode ModelEvalMode, store *evalstore.Store) *modelEval {
-	return &modelEval{mdl: mdl, bw: bw, mods: mods, w: w, form: form, emode: emode, store: store}
 }
 
 // compiledModel compiles the lane count's module against the model
@@ -202,21 +188,17 @@ func (me *modelEval) estimate(lanes, dv int) (*costmodel.Estimate, error) {
 				return
 			}
 		}
-		estimate := me.estimateFn
-		if estimate == nil {
-			if me.emode == ModelEvalTree {
-				estimate = me.mdl.EstimateVectorised
-			} else {
-				estimate = func(m *tir.Module, dv int) (*costmodel.Estimate, error) {
-					cm, err := me.compiledModel(lanes, m)
-					if err != nil {
-						return nil, err
-					}
-					return cm.EstimateVectorised(dv)
-				}
+		switch {
+		case me.estimateFn != nil:
+			cell.val, cell.err = me.estimateFn(me.mdl, m, dv)
+		case me.emode == ModelEvalTree:
+			cell.val, cell.err = me.mdl.EstimateVectorised(m, dv)
+		default:
+			var cm *costmodel.CompiledModel
+			if cm, cell.err = me.compiledModel(lanes, m); cell.err == nil {
+				cell.val, cell.err = cm.EstimateVectorised(dv)
 			}
 		}
-		cell.val, cell.err = estimate(m, dv)
 		if cell.err != nil {
 			if dv == 1 {
 				cell.err = fmt.Errorf("dse: costing %d-lane variant: %w", lanes, cell.err)
@@ -267,53 +249,12 @@ func fclkOverride(s *Space, v Variant) (float64, error) {
 	return FclkHz(mhz), nil
 }
 
-// NewEvaluator returns the standard evaluator over the paper's cost
-// stack: build the variant's module (lanes axis), cost it with the
-// calibrated resource model (dv axis selects the vectorised estimate),
-// extract the Table I parameters against the bandwidth model, and
-// evaluate EKIT under the memory-execution form (form axis, defaulting
-// to the given form when the space has no form axis). An fclk axis
-// (MHz values) overrides the device frequency FD, re-pricing
-// throughput without re-costing resources.
-//
-// costmodel.Estimate and perf.Extract are pure, so the evaluator
-// memoises module builds per lane count and estimates per (lanes, dv)
-// — form and fclk axes re-price throughput from the same estimate.
-func NewEvaluator(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
-	w perf.Workload, form perf.Form) Evaluator {
-	return NewEvaluatorStore(mdl, bw, build, w, form, nil)
-}
-
-// NewEvaluatorStore is NewEvaluator with an optional persistent
-// evaluation store: estimates are answered from their content-addressed
-// records when present and written back when recomputed. A nil store is
-// the plain in-memory evaluator. Estimates come from the compiled
-// estimate program; NewEvaluatorMode selects the tree-walk oracle.
-func NewEvaluatorStore(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
-	w perf.Workload, form perf.Form, store *evalstore.Store) Evaluator {
-	return NewEvaluatorMode(mdl, bw, build, w, form, ModelEvalCompiled, store)
-}
-
-// NewEvaluatorMode is NewEvaluatorStore with an explicit model
-// evaluation mode: the compiled flat program (the default elsewhere)
-// or the tree-walk oracle, which stays reachable for differential
-// cross-checks (tytradse -modeleval=tree).
-func NewEvaluatorMode(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
-	w perf.Workload, form perf.Form, emode ModelEvalMode, store *evalstore.Store) Evaluator {
-	me := newModelEval(mdl, bw, build, w, form, emode, store)
-	return func(s *Space, v Variant) (*Point, error) {
-		if err := s.checkAxes("the standard evaluator",
-			AxisLanes, AxisDV, AxisForm, AxisFclk); err != nil {
-			return nil, err
-		}
-		return me.point(s, v)
-	}
-}
-
 // evalPoint derives the full Point from a resource estimate: the Table
 // I parameter extraction, the EKIT throughput under the form, and the
 // Fig 15 utilisation bars. fclkHz > 0 overrides the extracted FD (the
-// fclk axis); 0 keeps the estimate's Fmax.
+// fclk axis); 0 keeps the estimate's Fmax. Under form C a point fits
+// only if its NDRange working set also fits in block RAM beside the
+// design (the gate core.Compiler.Cost enforces, §III-5).
 func evalPoint(est *costmodel.Estimate, bw *membw.Model, w perf.Workload,
 	form perf.Form, lanes int, fclkHz float64) (*Point, error) {
 	par, err := perf.Extract(est, bw, w)
@@ -328,7 +269,7 @@ func evalPoint(est *costmodel.Estimate, bw *membw.Model, w perf.Workload,
 		return nil, fmt.Errorf("dse: evaluating %d-lane variant: %w", lanes, err)
 	}
 	p := &Point{Lanes: lanes, Est: est, Par: par, EKIT: ekit, ModelEKIT: ekit,
-		Breakdown: bd, Fits: est.Fits()}
+		Breakdown: bd, Fits: est.Fits() && (form != perf.FormC || est.FormCFeasible())}
 	p.UtilALUT, p.UtilReg, p.UtilBRAM, p.UtilDSP = est.Utilisation()
 
 	// Full-rate bandwidth demand: every lane consumes one tuple per
@@ -663,43 +604,4 @@ func (r *Result) singleValuedExcept(keep ...int) error {
 		}
 	}
 	return nil
-}
-
-// Sweep2D converts a result over lanes×dv axes into the legacy
-// Sweep2D grid, rows in lanes-axis order and columns in dv-axis order.
-func (r *Result) Sweep2D(form perf.Form) (*Sweep2D, error) {
-	li, ok := r.Space.AxisIndex(AxisLanes)
-	if !ok {
-		return nil, fmt.Errorf("dse: result has no lanes axis")
-	}
-	di, ok := r.Space.AxisIndex(AxisDV)
-	if !ok {
-		return nil, fmt.Errorf("dse: result has no dv axis")
-	}
-	if err := r.singleValuedExcept(li, di); err != nil {
-		return nil, err
-	}
-	lanesAxis, dvAxis := r.Space.Axes()[li], r.Space.Axes()[di]
-	sw := &Sweep2D{Form: form, Lanes: lanesAxis.Values, DVs: dvAxis.Values}
-	grid := make(map[[2]int]*Point, len(r.Points))
-	for i, v := range r.Variants {
-		grid[[2]int{v[li], v[di]}] = r.Points[i]
-	}
-	for vi := range lanesAxis.Values {
-		row := make([]Point, 0, len(dvAxis.Values))
-		for di2 := range dvAxis.Values {
-			p := grid[[2]int{vi, di2}]
-			if p == nil {
-				return nil, fmt.Errorf("dse: point lanes=%d dv=%d not evaluated",
-					lanesAxis.Values[vi], dvAxis.Values[di2])
-			}
-			row = append(row, *p)
-			if p.Fits && (sw.Best == nil || p.EKIT > sw.Best.EKIT) {
-				best := *p
-				sw.Best = &best
-			}
-		}
-		sw.Points = append(sw.Points, row)
-	}
-	return sw, nil
 }

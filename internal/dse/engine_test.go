@@ -52,15 +52,16 @@ func samePoint(t *testing.T, ctx string, got, want Point, bandwidthUtils bool) {
 	}
 }
 
-// TestSweepLanesMatchesLegacy pins the adapter to the frozen serial
-// implementation on all four kernels and both interesting forms.
+// TestSweepLanesMatchesLegacy pins the engine's lanes sweep to the
+// frozen serial implementation on all four kernels and both
+// interesting forms.
 func TestSweepLanesMatchesLegacy(t *testing.T) {
 	mdl, bw := fixtures(t)
 	for name, family := range kernelFamilies() {
 		build := func(l int) (*tir.Module, error) { return family(l).Module() }
 		lanes := DivisorLaneCounts(family(1).GlobalSize(), 6)
 		for _, form := range []perf.Form{perf.FormA, perf.FormB} {
-			got, err := SweepLanes(mdl, bw, build, lanes, perf.Workload{NKI: 10}, form)
+			got, err := sweepLanes(t, mdl, bw, build, lanes, perf.Workload{NKI: 10}, form)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, form, err)
 			}
@@ -90,7 +91,7 @@ func TestSweepLanesMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestSweepLanesDVMatchesLegacy pins the 2-D adapter. The engine
+// TestSweepLanesDVMatchesLegacy pins the engine's lanes×dv sweep. The engine
 // additionally fills the bandwidth-utilisation fields the legacy code
 // left zero, so those are compared against the 1-D semantics instead.
 func TestSweepLanesDVMatchesLegacy(t *testing.T) {
@@ -99,7 +100,7 @@ func TestSweepLanesDVMatchesLegacy(t *testing.T) {
 		build := func(l int) (*tir.Module, error) { return family(l).Module() }
 		lanes := DivisorLaneCounts(family(1).GlobalSize(), 4)
 		dvs := []int{1, 2, 4}
-		got, err := SweepLanesDV(mdl, bw, build, lanes, dvs, perf.Workload{NKI: 10}, perf.FormB)
+		got, err := sweepLanesDV(t, mdl, bw, build, lanes, dvs, perf.Workload{NKI: 10}, perf.FormB)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -131,12 +132,11 @@ func TestSweepLanesDVMatchesLegacy(t *testing.T) {
 
 func sorEngine(t *testing.T, workers int, axes ...Axis) *Engine {
 	t.Helper()
-	mdl, bw := fixtures(t)
 	space, err := NewSpace(axes...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewEngine(space, NewEvaluator(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB), workers)
+	return NewEngine(space, sorEval(t), workers)
 }
 
 // TestEngineParallelDeterminism: a parallel run returns exactly the
@@ -259,7 +259,7 @@ func TestWallPrunedIgnoresErrorsPastTheCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := NewEvaluator(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB)
+	eval := testEval(t, mdl, bw, EvalConfig{Build: build, Workload: perf.Workload{NKI: 10}, Form: perf.FormB})
 	if _, err := NewEngine(space, eval, 8).Run(Exhaustive{}); err == nil {
 		t.Fatal("exhaustive should surface the builder error")
 	}
@@ -350,14 +350,22 @@ func TestSpaceBasics(t *testing.T) {
 }
 
 func TestStandardEvaluatorRejectsUnknownAxis(t *testing.T) {
-	mdl, bw := fixtures(t)
-	space, err := NewSpace(LanesAxis([]int{1}), Axis{Name: AxisDevice, Values: []int{0, 1}})
+	space, err := NewSpace(LanesAxis([]int{1}), Axis{Name: "unroll", Values: []int{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(space, NewEvaluator(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB), 2)
-	if _, err := eng.Run(Exhaustive{}); err == nil || !strings.Contains(err.Error(), "device") {
+	eng := NewEngine(space, sorEval(t), 2)
+	if _, err := eng.Run(Exhaustive{}); err == nil || !strings.Contains(err.Error(), "unroll") {
 		t.Errorf("unsupported axis accepted: %v", err)
+	}
+	// A device axis indexing past a one-entry shelf is rejected too.
+	space, err = NewSpace(LanesAxis([]int{1}), Axis{Name: AxisDevice, Values: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng = NewEngine(space, sorEval(t), 2)
+	if _, err := eng.Run(Exhaustive{}); err == nil || !strings.Contains(err.Error(), "shelf") {
+		t.Errorf("device index past the shelf accepted: %v", err)
 	}
 }
 
@@ -430,14 +438,14 @@ func TestSweep2DRejectsMultiValuedAxes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Sweep2D(perf.FormA); err == nil {
-		t.Error("multi-valued form axis accepted by Sweep2D")
+	if _, err := resultGrid(r, perf.FormA); err == nil {
+		t.Error("multi-valued form axis accepted by the grid conversion")
 	}
 	slice, err := r.Slice(AxisForm, int(perf.FormA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := slice.Sweep2D(perf.FormA); err != nil {
+	if _, err := resultGrid(slice, perf.FormA); err != nil {
 		t.Errorf("sliced result rejected: %v", err)
 	}
 }
@@ -445,13 +453,12 @@ func TestSweep2DRejectsMultiValuedAxes(t *testing.T) {
 // TestWallPrunedZeroValueEngine: a zero-value Engine (Workers == 0,
 // built without NewEngine) must terminate, not spin on empty waves.
 func TestWallPrunedZeroValueEngine(t *testing.T) {
-	mdl, bw := fixtures(t)
 	space, err := NewSpace(LanesAxis([]int{1, 2, 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := &Engine{Space: space,
-		Eval: NewEvaluator(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB)}
+		Eval: sorEval(t)}
 	r, err := eng.Run(WallPruned{})
 	if err != nil {
 		t.Fatal(err)

@@ -23,29 +23,36 @@ type counters struct {
 }
 
 // instrumentedEval builds a mode evaluator over the store with every
-// compute path counted. It wires the same internals the public
-// constructors wire — modelEval + simMeasurer — so the differential
-// holds for the production assembly, not a test double.
-func instrumentedEval(mode EvalMode, mdl *costmodel.Model, bw *membw.Model,
+// compute path counted. It is the production evaluator NewEvaluator
+// returns, with only its test seams set, so the differential holds for
+// the production assembly, not a test double.
+func instrumentedEval(t *testing.T, mode EvalMode, mdl *costmodel.Model, bw *membw.Model,
 	store *evalstore.Store, c *counters) Evaluator {
-	me := newModelEval(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB, ModelEvalCompiled, store)
-	me.estimateFn = func(m *tir.Module, dv int) (*costmodel.Estimate, error) {
+	t.Helper()
+	models := NewModelCacheStore(store)
+	if err := models.Add(mdl.Target, mdl, bw); err != nil {
+		t.Fatal(err)
+	}
+	cfg := EvalConfig{Mode: mode, Build: sorBuilder, Workload: perf.Workload{NKI: 10}, Form: perf.FormB,
+		Shelf: []*device.Target{mdl.Target}, Models: models,
+		Sim: SimConfig{Inputs: func(m *tir.Module, seed int64) (map[string][]int64, error) {
+			c.inputs.Add(1)
+			return SimInputs(m, seed)
+		}}}
+	ev, err := newEvaluator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev.estimateFn = func(mdl *costmodel.Model, m *tir.Module, dv int) (*costmodel.Estimate, error) {
 		c.estimates.Add(1)
 		return mdl.EstimateVectorised(m, dv)
 	}
-	if mode == EvalModel {
-		return func(s *Space, v Variant) (*Point, error) { return me.point(s, v) }
+	if ev.sm != nil {
+		// The counting wrapper IS SimInputs, so the content key stays
+		// valid; undo the custom-generator bypass the wrapper triggered.
+		ev.sm.customInputs = false
 	}
-	cfg := SimConfig{Inputs: func(m *tir.Module, seed int64) (map[string][]int64, error) {
-		c.inputs.Add(1)
-		return SimInputs(m, seed)
-	}}
-	sm := newSimMeasurer(me.mods, cfg, store)
-	// The counting wrapper IS SimInputs, so the content key stays valid;
-	// undo the custom-generator bypass the wrapper triggered.
-	sm.customInputs = false
-	sv := &simBacked{mode: mode, me: me, sm: sm}
-	return sv.eval
+	return ev.eval
 }
 
 func runInstrumented(t *testing.T, mode EvalMode, store *evalstore.Store,
@@ -60,7 +67,7 @@ func runInstrumented(t *testing.T, mode EvalMode, store *evalstore.Store,
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewEngine(space, instrumentedEval(mode, mdl, bw, store, &c), workers).Run(Exhaustive{})
+	res, err := NewEngine(space, instrumentedEval(t, mode, mdl, bw, store, &c), workers).Run(Exhaustive{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +305,6 @@ func TestDeviceStoreWarmCold(t *testing.T) {
 // cannot be content-hashed, so the persistent tier must not serve (or
 // archive) measurements for it.
 func TestCustomInputsBypassStore(t *testing.T) {
-	mdl, bw := fixtures(t)
 	dir := t.TempDir()
 	run := func() int64 {
 		s, err := evalstore.Open(dir)
@@ -306,12 +312,11 @@ func TestCustomInputsBypassStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		var n atomic.Int64
-		me := newModelEval(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB, ModelEvalCompiled, s)
 		cfg := SimConfig{Inputs: func(m *tir.Module, seed int64) (map[string][]int64, error) {
 			n.Add(1)
 			return SimInputs(m, seed)
 		}}
-		sm := newSimMeasurer(me.mods, cfg, s)
+		sm := newSimMeasurer(newModuleCache(sorBuilder), cfg, s)
 		if _, err := sm.measure(2); err != nil {
 			t.Fatal(err)
 		}

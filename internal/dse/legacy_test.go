@@ -1,9 +1,9 @@
 package dse
 
-// This file freezes the pre-engine serial implementations of SweepLanes
-// and SweepLanesDV, verbatim, as the reference the engine-backed
-// adapters are tested against (see engine_test.go). Do not "improve"
-// them: their value is that they no longer change.
+// This file freezes the pre-engine serial implementations of the lanes
+// and lanes×dv sweeps, verbatim, as the reference the engine's sweeps
+// are tested against (see engine_test.go). Do not "improve" them:
+// their value is that they no longer change.
 
 import (
 	"fmt"
@@ -73,11 +73,11 @@ func legacySweepLanes(mdl *costmodel.Model, bw *membw.Model, build VariantBuilde
 }
 
 func legacySweepLanesDV(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
-	lanes, dvs []int, w perf.Workload, form perf.Form) (*Sweep2D, error) {
+	lanes, dvs []int, w perf.Workload, form perf.Form) (*sweepGrid, error) {
 	if len(lanes) == 0 || len(dvs) == 0 {
 		return nil, fmt.Errorf("dse: empty lane or DV axis")
 	}
-	sw := &Sweep2D{Form: form, Lanes: lanes, DVs: dvs}
+	sw := &sweepGrid{Form: form, Lanes: lanes, DVs: dvs}
 	for _, l := range lanes {
 		m, err := build(l)
 		if err != nil {

@@ -88,7 +88,8 @@ func TestCompiledTreeEngineDifferential(t *testing.T) {
 	w := perf.Workload{NKI: 10}
 
 	run := func(emode ModelEvalMode, workers int) []*Point {
-		ev := NewEvaluatorMode(mdl, bw, sorBuilder, w, perf.FormB, emode, nil)
+		ev := testEval(t, mdl, bw, EvalConfig{Build: sorBuilder, Workload: w, Form: perf.FormB,
+			Sim: SimConfig{ModelEval: emode}})
 		ps, err := NewEngine(space, ev, workers).EvalAll(space.Enumerate())
 		if err != nil {
 			t.Fatal(err)
@@ -126,8 +127,8 @@ func TestCompiledTreeDeviceDifferential(t *testing.T) {
 	w := perf.Workload{NKI: 10}
 
 	run := func(emode ModelEvalMode, workers int) []*Point {
-		ev, err := NewDeviceModeEvaluatorCache(EvalModel, shelf, sorBuilder, w, perf.FormB,
-			SimConfig{ModelEval: emode}, cache)
+		ev, err := NewEvaluator(EvalConfig{Build: sorBuilder, Workload: w, Form: perf.FormB,
+			Sim: SimConfig{ModelEval: emode}, Shelf: shelf, Models: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +223,7 @@ func BenchmarkEvalAllLargeSpace(b *testing.B) {
 	}
 	space := benchSpaceLarge(b)
 	vs := space.Enumerate()
-	ev := NewEvaluatorMode(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB, ModelEvalCompiled, nil)
+	ev := testEval(b, mdl, bw, EvalConfig{Build: sorBuilder, Workload: perf.Workload{NKI: 10}, Form: perf.FormB})
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("j%d", workers), func(b *testing.B) {
 			b.ReportAllocs()

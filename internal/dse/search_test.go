@@ -64,7 +64,6 @@ func sameResult(t *testing.T, ctx string, got, want *Result) {
 // implementations on the golden spaces, at several worker counts (run
 // under -race in CI).
 func TestSearchMatchesLegacyStrategies(t *testing.T) {
-	mdl, bw := fixtures(t)
 	legacy := map[string]func(*Engine) (*Result, error){
 		"exhaustive":  legacyExploreExhaustive,
 		"wall-pruned": legacyExploreWallPruned,
@@ -82,7 +81,7 @@ func TestSearchMatchesLegacyStrategies(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4, 8} {
 				ctx := fmt.Sprintf("%s/%s/j=%d", spaceName, stName, workers)
-				eval := NewEvaluator(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB)
+				eval := sorEval(t)
 				want, err := legacyExplore(NewEngine(space, eval, workers))
 				if err != nil {
 					t.Fatalf("%s legacy: %v", ctx, err)
@@ -267,7 +266,6 @@ func TestGroupVariantsMatchesEnumeration(t *testing.T) {
 // budget charges exactly MaxEvals evaluations; any run charges at
 // most that.
 func TestSearchBudgetExact(t *testing.T) {
-	mdl, bw := fixtures(t)
 	space, err := NewSpace(LanesAxis(LaneCounts(16)), FormAxis(perf.FormA, perf.FormB))
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +276,7 @@ func TestSearchBudgetExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, max := range []int{1, 7, 31} {
-			eval := NewEvaluator(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB)
+			eval := sorEval(t)
 			r, err := NewEngine(space, eval, 4).Search(st, SearchOptions{
 				Budget: Budget{MaxEvals: max}, Seed: 1,
 			})
@@ -345,7 +343,6 @@ func adaptiveResultFingerprint(r *Result) string {
 // HillClimb and Anneal produce identical results — variants, points,
 // trajectory, provenance — for a fixed seed at any worker count.
 func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
-	mdl, bw := fixtures(t)
 	space, err := NewSpace(LanesAxis(LaneCounts(16)), FormAxis(perf.FormA, perf.FormB))
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +351,7 @@ func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 		for _, seed := range []int64{1, 42} {
 			var ref string
 			for _, workers := range []int{1, 3, 8} {
-				eval := NewEvaluator(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB)
+				eval := sorEval(t)
 				r, err := NewEngine(space, eval, workers).Search(st, SearchOptions{Seed: seed})
 				if err != nil {
 					t.Fatalf("%s seed=%d j=%d: %v", st.Name(), seed, workers, err)
@@ -376,12 +373,11 @@ func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 // exhaustive best while charging strictly fewer evaluations than the
 // 32-point enumeration.
 func TestAdaptiveFindFig15Best(t *testing.T) {
-	mdl, bw := fixtures(t)
 	space, err := NewSpace(LanesAxis(LaneCounts(16)), FormAxis(perf.FormA, perf.FormB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := NewEvaluator(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB)
+	eval := sorEval(t)
 	eng := NewEngine(space, eval, 4)
 	full, err := eng.Run(Exhaustive{})
 	if err != nil {
@@ -474,12 +470,11 @@ func TestResultSliceFrontier(t *testing.T) {
 // evaluated yields an empty slice; a value the axis does not carry is
 // an error (satellite: previously untested).
 func TestResultSliceEmptyAndMissing(t *testing.T) {
-	mdl, bw := fixtures(t)
 	space, err := NewSpace(LanesAxis([]int{1, 2, 4}), FormAxis(perf.FormA, perf.FormB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := NewEvaluator(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB)
+	eval := sorEval(t)
 	// A one-eval budget leaves most of the space unevaluated.
 	r, err := NewEngine(space, eval, 2).Search(Exhaustive{}, SearchOptions{Budget: Budget{MaxEvals: 1}})
 	if err != nil {

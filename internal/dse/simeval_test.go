@@ -40,13 +40,14 @@ func TestDifferentialSimVsModelOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		modelRes, err := NewEngine(space, NewEvaluator(mdl, bw, build, w, perf.FormB), 0).
-			Run(Exhaustive{})
+		modelEval := testEval(t, mdl, bw, EvalConfig{Build: build, Workload: w, Form: perf.FormB})
+		modelRes, err := NewEngine(space, modelEval, 0).Run(Exhaustive{})
 		if err != nil {
 			t.Fatalf("%s model: %v", name, err)
 		}
 		simRes, err := NewEngine(space,
-			NewSimEvaluator(mdl, bw, build, w, perf.FormB, SimConfig{Measure: 2}), 0).
+			testEval(t, mdl, bw, EvalConfig{Mode: EvalSim, Build: build, Workload: w, Form: perf.FormB,
+				Sim: SimConfig{Measure: 2}}), 0).
 			Run(Exhaustive{})
 		if err != nil {
 			t.Fatalf("%s sim: %v", name, err)
@@ -115,11 +116,11 @@ func TestDifferentialRunnerVsOracleCycles(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", name, lanes, err)
 			}
-			r, err := pipesim.NewRunner(m)
+			d, err := pipesim.Compile(m)
 			if err != nil {
 				t.Fatalf("%s/%d: compile: %v", name, lanes, err)
 			}
-			got, err := r.Run(mem)
+			got, err := d.Run(mem)
 			if err != nil {
 				t.Fatalf("%s/%d: compiled run: %v", name, lanes, err)
 			}
@@ -203,7 +204,8 @@ func TestSimEvaluatorDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eval := NewHybridEvaluator(mdl, bw, build, w, perf.FormB, SimConfig{Measure: 2})
+		eval := testEval(t, mdl, bw, EvalConfig{Mode: EvalHybrid, Build: build, Workload: w,
+			Form: perf.FormB, Sim: SimConfig{Measure: 2}})
 		res, err := NewEngine(space, eval, workers).Run(Exhaustive{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -244,8 +246,8 @@ func TestDifferentialSimExecBatchedVsScalar(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eval := NewSimEvaluator(mdl, bw, build, w, perf.FormB,
-					SimConfig{Measure: 2, Exec: exec})
+				eval := testEval(t, mdl, bw, EvalConfig{Mode: EvalSim, Build: build, Workload: w,
+					Form: perf.FormB, Sim: SimConfig{Measure: 2, Exec: exec}})
 				res, err := NewEngine(space, eval, workers).Run(Exhaustive{})
 				if err != nil {
 					t.Fatalf("%s exec=%+v workers=%d: %v", name, exec, workers, err)
@@ -315,7 +317,8 @@ func TestSimEvaluatorCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := NewEngine(space,
-			NewSimEvaluator(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB, SimConfig{}), 0)
+			testEval(t, mdl, bw, EvalConfig{Mode: EvalSim, Build: build,
+				Workload: perf.Workload{NKI: 10}, Form: perf.FormB}), 0)
 		vs := space.Enumerate()
 		ps, err := eng.EvalAll(vs)
 		if hasFloatDatapath(m) {
@@ -365,7 +368,7 @@ func TestDifferentialFclkUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refEval := NewHybridEvaluator(mdl, bw, build, w, perf.FormB, SimConfig{})
+	refEval := testEval(t, mdl, bw, EvalConfig{Mode: EvalHybrid, Build: build, Workload: w, Form: perf.FormB})
 	ref, err := refEval(refSpace, refSpace.Enumerate()[0])
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +390,7 @@ func TestDifferentialFclkUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := NewHybridEvaluator(mdl, bw, build, w, perf.FormB, SimConfig{})
+	eval := testEval(t, mdl, bw, EvalConfig{Mode: EvalHybrid, Build: build, Workload: w, Form: perf.FormB})
 	res, err := NewEngine(space, eval, 0).Run(Exhaustive{})
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +450,8 @@ func TestSimEvaluatorRejectsDV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := NewSimEvaluator(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB, SimConfig{})
+	eval := testEval(t, mdl, bw, EvalConfig{Mode: EvalSim, Build: build,
+		Workload: perf.Workload{NKI: 10}, Form: perf.FormB})
 	if _, err := eval(space, space.Enumerate()[0]); err == nil ||
 		!strings.Contains(err.Error(), "dv") {
 		t.Errorf("dv axis accepted by the sim evaluator: %v", err)
@@ -465,8 +469,50 @@ func TestSimEvaluatorRejectsDV(t *testing.T) {
 		!strings.Contains(err.Error(), "form") {
 		t.Errorf("form axis accepted by the sim-scored evaluator: %v", err)
 	}
-	hybrid := NewHybridEvaluator(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB, SimConfig{})
+	hybrid := testEval(t, mdl, bw, EvalConfig{Mode: EvalHybrid, Build: build,
+		Workload: perf.Workload{NKI: 10}, Form: perf.FormB})
 	if _, err := hybrid(formSpace, formSpace.Enumerate()[0]); err != nil {
 		t.Errorf("form axis rejected by the hybrid evaluator: %v", err)
+	}
+}
+
+// TestDifferentialSimCyclesInputIndependent pins the claim the
+// evaluator's shared measurer and the evalstore cycles key rest on:
+// simulated cycles and work-items depend on the design, never on the
+// input data. One compiled design per (kernel, lanes) runs the
+// SimInputs workload of several seeds and must report the same counts
+// for each.
+func TestDifferentialSimCyclesInputIndependent(t *testing.T) {
+	families := kernelFamilies()
+	for _, name := range []string{"sor", "hotspot", "lavamd"} {
+		for _, lanes := range []int{1, 2, 4} {
+			m, err := families[name](lanes).Module()
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, lanes, err)
+			}
+			d, err := pipesim.Compile(m)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, lanes, err)
+			}
+			var want *pipesim.Result
+			for _, seed := range []int64{1, 2, 977} {
+				mem, err := SimInputs(m, seed)
+				if err != nil {
+					t.Fatalf("%s/%d seed %d: %v", name, lanes, seed, err)
+				}
+				got, err := d.Run(mem)
+				if err != nil {
+					t.Fatalf("%s/%d seed %d: %v", name, lanes, seed, err)
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				if got.Cycles != want.Cycles || got.Items != want.Items {
+					t.Errorf("%s/%d: seed %d ran %d cycles / %d items, seed 1 ran %d / %d",
+						name, lanes, seed, got.Cycles, got.Items, want.Cycles, want.Items)
+				}
+			}
+		}
 	}
 }

@@ -8,12 +8,9 @@ import (
 	"repro/internal/perf"
 )
 
-// Well-known axis names. The standard evaluator (NewEvaluator)
-// understands lanes, dv, form and fclk; the simulation-backed
-// evaluators (NewSimEvaluator, NewHybridEvaluator) understand lanes,
-// form and fclk; the device axis is only understood by the
-// shelf-aware evaluators (NewDeviceEvaluator and friends), which add
-// it to the respective sets above.
+// Well-known axis names. NewEvaluator understands lanes, dv, form,
+// fclk and device under EvalModel; EvalHybrid drops dv (the simulator
+// cannot observe vectorisation) and EvalSim drops form as well.
 const (
 	AxisLanes  = "lanes"
 	AxisDV     = "dv"
@@ -65,8 +62,8 @@ func FclkAxis(mhz []int) Axis { return Axis{Name: AxisFclk, Values: mhz} }
 func FclkHz(mhz int) float64 { return float64(mhz) * 1e6 }
 
 // DeviceAxis is the multi-device axis: one value per shelf entry, in
-// shelf order. Values are indices into the shelf slice handed to the
-// device-aware evaluator (NewDeviceEvaluator / NewDeviceModeEvaluator);
+// shelf order. Values are indices into the EvalConfig.Shelf handed to
+// NewEvaluator;
 // the labels carry the device names so cache keys and reports read
 // "device=virtex-7-690t" rather than "device=1". The same shelf slice,
 // in the same order, must be passed to both this axis and the

@@ -1,15 +1,92 @@
 package dse
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/costmodel"
+	"repro/internal/membw"
 	"repro/internal/perf"
 )
 
-func sweep2d(t *testing.T, form perf.Form) *Sweep2D {
+// sweepGrid is the lanes × DV grid of the Fig 5 design space: thread
+// parallelism (lanes, the C1/C2 region) against medium-grained
+// vectorisation per lane (DV, the C3 region). It is the shape the
+// frozen legacySweepLanesDV returns; sweepLanesDV builds it from an
+// engine result.
+type sweepGrid struct {
+	Form perf.Form
+	// Points[i][j] is the variant with Lanes[i] lanes at DVs[j] ways.
+	Lanes  []int
+	DVs    []int
+	Points [][]Point
+	// Best is the highest-EKIT fitting point, or nil.
+	Best *Point
+}
+
+// sweepLanesDV evaluates every (lanes, dv) combination through the
+// engine and converts the result to the legacy grid. Unlike the
+// legacy serial implementation, every point also carries its
+// bandwidth utilisation fractions.
+func sweepLanesDV(t testing.TB, mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
+	lanes, dvs []int, w perf.Workload, form perf.Form) (*sweepGrid, error) {
+	t.Helper()
+	space, err := NewSpace(LanesAxis(lanes), DVAxis(dvs))
+	if err != nil {
+		return nil, err
+	}
+	ev := testEval(t, mdl, bw, EvalConfig{Build: build, Workload: w, Form: form})
+	res, err := NewEngine(space, ev, 0).Run(Exhaustive{})
+	if err != nil {
+		return nil, err
+	}
+	return resultGrid(res, form)
+}
+
+// resultGrid converts a result over lanes×dv axes into the grid,
+// rows in lanes-axis order and columns in dv-axis order. Every other
+// axis must be single-valued (Slice first otherwise).
+func resultGrid(r *Result, form perf.Form) (*sweepGrid, error) {
+	li, ok := r.Space.AxisIndex(AxisLanes)
+	if !ok {
+		return nil, fmt.Errorf("dse: result has no lanes axis")
+	}
+	di, ok := r.Space.AxisIndex(AxisDV)
+	if !ok {
+		return nil, fmt.Errorf("dse: result has no dv axis")
+	}
+	if err := r.singleValuedExcept(li, di); err != nil {
+		return nil, err
+	}
+	lanesAxis, dvAxis := r.Space.Axes()[li], r.Space.Axes()[di]
+	sw := &sweepGrid{Form: form, Lanes: lanesAxis.Values, DVs: dvAxis.Values}
+	grid := make(map[[2]int]*Point, len(r.Points))
+	for i, v := range r.Variants {
+		grid[[2]int{v[li], v[di]}] = r.Points[i]
+	}
+	for vi := range lanesAxis.Values {
+		row := make([]Point, 0, len(dvAxis.Values))
+		for dj := range dvAxis.Values {
+			p := grid[[2]int{vi, dj}]
+			if p == nil {
+				return nil, fmt.Errorf("dse: point lanes=%d dv=%d not evaluated",
+					lanesAxis.Values[vi], dvAxis.Values[dj])
+			}
+			row = append(row, *p)
+			if p.Fits && (sw.Best == nil || p.EKIT > sw.Best.EKIT) {
+				best := *p
+				sw.Best = &best
+			}
+		}
+		sw.Points = append(sw.Points, row)
+	}
+	return sw, nil
+}
+
+func sweep2d(t *testing.T, form perf.Form) *sweepGrid {
 	t.Helper()
 	mdl, bw := fixtures(t)
-	sw, err := SweepLanesDV(mdl, bw, sorBuilder, []int{1, 2, 4}, []int{1, 2, 4},
+	sw, err := sweepLanesDV(t, mdl, bw, sorBuilder, []int{1, 2, 4}, []int{1, 2, 4},
 		perf.Workload{NKI: 10}, form)
 	if err != nil {
 		t.Fatal(err)
@@ -80,10 +157,11 @@ func TestSweep2DBestFits(t *testing.T) {
 
 func TestSweep2DErrors(t *testing.T) {
 	mdl, bw := fixtures(t)
-	if _, err := SweepLanesDV(mdl, bw, sorBuilder, nil, []int{1}, perf.Workload{NKI: 1}, perf.FormA); err == nil {
+	w := perf.Workload{NKI: 1}
+	if _, err := sweepLanesDV(t, mdl, bw, sorBuilder, nil, []int{1}, w, perf.FormA); err == nil {
 		t.Error("empty lanes accepted")
 	}
-	if _, err := SweepLanesDV(mdl, bw, sorBuilder, []int{1}, nil, perf.Workload{NKI: 1}, perf.FormA); err == nil {
+	if _, err := sweepLanesDV(t, mdl, bw, sorBuilder, []int{1}, nil, w, perf.FormA); err == nil {
 		t.Error("empty DVs accepted")
 	}
 }

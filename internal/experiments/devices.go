@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/dse"
 	"repro/internal/perf"
@@ -51,8 +50,12 @@ func Fig15Devices() (*Fig15DevicesResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.ExploreDevices(dse.EvalModel, shelf, build, space,
-		perf.Workload{NKI: 10}, perf.FormB, dse.Exhaustive{}, 0, dse.SimConfig{}, dse.SearchOptions{})
+	eval, err := dse.NewEvaluator(dse.EvalConfig{Build: build, Workload: perf.Workload{NKI: 10},
+		Form: perf.FormB, Shelf: shelf})
+	if err != nil {
+		return nil, err
+	}
+	res, err := dse.NewEngine(space, eval, 0).Run(dse.Exhaustive{})
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,7 @@
 // evaluation cost of the three scorers — cost model, cycle-accurate
 // simulator, hybrid — committed as BENCH_DSE_SIM.json at the repo root
 // (see DESIGN.md). The model path is microseconds per variant (§VI-A's
-// claim); the sim path adds a Runner compile plus one simulated
+// claim); the sim path adds a design compile plus one simulated
 // instance, so the report makes the price of simulation-backed scoring
 // visible in review diffs.
 
@@ -14,11 +14,9 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dse"
 	"repro/internal/kernels"
-	"repro/internal/membw"
 	"repro/internal/perf"
 	"repro/internal/tir"
 )
@@ -62,13 +60,12 @@ func DSESimBench(minTime time.Duration) (*DSESimBenchResult, error) {
 	if minTime <= 0 {
 		minTime = 250 * time.Millisecond
 	}
+	// Calibrate up front, outside every timed evaluation: each timed
+	// evaluator is fresh (cold estimates, designs and measurements) but
+	// shares the settled models.
 	t := device.GSD8Edu()
-	mdl, err := costmodel.Calibrate(t)
-	if err != nil {
-		return nil, err
-	}
-	bw, err := membw.Build(t)
-	if err != nil {
+	models := dse.NewModelCache()
+	if _, _, err := models.Models(t); err != nil {
 		return nil, err
 	}
 	build := func(lanes int) (*tir.Module, error) { return DSESimBenchSpec(lanes).Module() }
@@ -88,8 +85,8 @@ func DSESimBench(minTime time.Duration) (*DSESimBenchResult, error) {
 			}
 			variant := space.Enumerate()[0]
 			evalOnce := func() (*dse.Point, error) {
-				eval, err := dse.NewModeEvaluator(mode, mdl, bw, build, w, perf.FormB,
-					dse.SimConfig{})
+				eval, err := dse.NewEvaluator(dse.EvalConfig{Mode: mode, Build: build, Workload: w,
+					Form: perf.FormB, Shelf: []*device.Target{t}, Models: models})
 				if err != nil {
 					return nil, err
 				}

@@ -15,11 +15,9 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dse"
 	"repro/internal/kernels"
-	"repro/internal/membw"
 	"repro/internal/perf"
 	"repro/internal/tir"
 )
@@ -101,7 +99,8 @@ func DSEModelBench(minTime time.Duration) (*DSEModelBenchResult, error) {
 		minTime = 250 * time.Millisecond
 	}
 	t := device.GSD8Edu()
-	mdl, err := costmodel.Calibrate(t)
+	models := dse.NewModelCache()
+	mdl, _, err := models.Models(t)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +153,7 @@ func DSEModelBench(minTime time.Duration) (*DSEModelBenchResult, error) {
 		})
 	}
 
-	engine, err := dseModelEngineSweep(minTime, mdl, t)
+	engine, err := dseModelEngineSweep(minTime, models, t)
 	if err != nil {
 		return nil, err
 	}
@@ -167,12 +166,8 @@ func DSEModelBench(minTime time.Duration) (*DSEModelBenchResult, error) {
 // shared across runs, so estimates are warm after the first sweep and
 // the figure isolates the engine: dense Index keys, sharded cell
 // table, chunked work claims, per-point assembly.
-func dseModelEngineSweep(minTime time.Duration, mdl *costmodel.Model,
+func dseModelEngineSweep(minTime time.Duration, models *dse.ModelCache,
 	t *device.Target) ([]DSEModelEngineRow, error) {
-	bw, err := membw.Build(t)
-	if err != nil {
-		return nil, err
-	}
 	dvs := make([]int, 25)
 	for i := range dvs {
 		dvs[i] = i + 1
@@ -191,8 +186,11 @@ func dseModelEngineSweep(minTime time.Duration, mdl *costmodel.Model,
 	}
 	vs := space.Enumerate()
 	build := func(lanes int) (*tir.Module, error) { return DSESimBenchSpec(lanes).Module() }
-	eval := dse.NewEvaluatorMode(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB,
-		dse.ModelEvalCompiled, nil)
+	eval, err := dse.NewEvaluator(dse.EvalConfig{Build: build, Workload: perf.Workload{NKI: 10},
+		Form: perf.FormB, Shelf: []*device.Target{t}, Models: models})
+	if err != nil {
+		return nil, err
+	}
 
 	var rows []DSEModelEngineRow
 	for _, workers := range []int{1, 4, 8} {

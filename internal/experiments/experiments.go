@@ -127,16 +127,7 @@ type Fig15Result struct {
 // re-prices throughput) and the 32 points evaluate concurrently.
 func Fig15() (*Fig15Result, error) {
 	t := device.GSD8Edu()
-	mdl, err := costmodel.Calibrate(t)
-	if err != nil {
-		return nil, err
-	}
-	bw, err := membw.Build(t)
-	if err != nil {
-		return nil, err
-	}
 	build := func(lanes int) (*tir.Module, error) { return Fig15Spec(lanes).Module() }
-	w := perf.Workload{NKI: 10}
 	space, err := dse.NewSpace(
 		dse.LanesAxis(dse.LaneCounts(16)),
 		dse.FormAxis(perf.FormA, perf.FormB),
@@ -144,8 +135,12 @@ func Fig15() (*Fig15Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := dse.NewEngine(space, dse.NewEvaluator(mdl, bw, build, w, perf.FormB), 0)
-	res, err := eng.Run(dse.Exhaustive{})
+	eval, err := dse.NewEvaluator(dse.EvalConfig{Build: build, Workload: perf.Workload{NKI: 10},
+		Form: perf.FormB, Shelf: []*device.Target{t}})
+	if err != nil {
+		return nil, err
+	}
+	res, err := dse.NewEngine(space, eval, 0).Run(dse.Exhaustive{})
 	if err != nil {
 		return nil, err
 	}
@@ -209,22 +204,17 @@ func fig15HybridSpec(full bool, lanes int) kernels.SORSpec {
 // report.DefaultCalibrationTol band).
 func Fig15Hybrid(full bool) (*Fig15HybridResult, error) {
 	t := device.GSD8Edu()
-	mdl, err := costmodel.Calibrate(t)
-	if err != nil {
-		return nil, err
-	}
-	bw, err := membw.Build(t)
-	if err != nil {
-		return nil, err
-	}
 	build := func(lanes int) (*tir.Module, error) { return fig15HybridSpec(full, lanes).Module() }
 	lanes := dse.DivisorLaneCounts(fig15HybridSpec(full, 1).GlobalSize(), 16)
 	space, err := dse.NewSpace(dse.LanesAxis(lanes))
 	if err != nil {
 		return nil, err
 	}
-	eval := dse.NewHybridEvaluator(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB,
-		dse.SimConfig{})
+	eval, err := dse.NewEvaluator(dse.EvalConfig{Mode: dse.EvalHybrid, Build: build,
+		Workload: perf.Workload{NKI: 10}, Form: perf.FormB, Shelf: []*device.Target{t}})
+	if err != nil {
+		return nil, err
+	}
 	res, err := dse.NewEngine(space, eval, 0).Run(dse.Exhaustive{})
 	if err != nil {
 		return nil, err

@@ -9,7 +9,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/dse"
 	"repro/internal/hlsbase"
-	"repro/internal/membw"
 	"repro/internal/perf"
 	"repro/internal/tir"
 )
@@ -144,17 +143,22 @@ func TestFig15HybridExperiment(t *testing.T) {
 		}
 	}
 
-	mdl, err := costmodel.Calibrate(r.Target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw, err := membw.Build(r.Target)
-	if err != nil {
-		t.Fatal(err)
-	}
 	build := func(lanes int) (*tir.Module, error) { return fig15HybridSpec(false, lanes).Module() }
 	lanes := dse.DivisorLaneCounts(fig15HybridSpec(false, 1).GlobalSize(), 16)
-	model, err := dse.SweepLanes(mdl, bw, build, lanes, perf.Workload{NKI: 10}, perf.FormB)
+	space, err := dse.NewSpace(dse.LanesAxis(lanes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := dse.NewEvaluator(dse.EvalConfig{Build: build, Workload: perf.Workload{NKI: 10},
+		Form: perf.FormB, Shelf: []*device.Target{r.Target}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelRes, err := dse.NewEngine(space, eval, 0).Run(dse.Exhaustive{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := modelRes.Sweep(perf.FormB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +201,11 @@ func TestDSESimBenchReport(t *testing.T) {
 		if row.NsOp <= 0 || row.ModelEKIT <= 0 || row.ModelCPKI <= 0 {
 			t.Errorf("%s lanes=%d: non-positive measurement: %+v", row.Mode, row.Lanes, row)
 		}
-		simBacked := row.Mode == "sim" || row.Mode == "hybrid"
-		if simBacked && (row.SimCycles <= 0 || row.SimEKIT <= 0) {
+		simulated := row.Mode == "sim" || row.Mode == "hybrid"
+		if simulated && (row.SimCycles <= 0 || row.SimEKIT <= 0) {
 			t.Errorf("%s lanes=%d: sim fields missing", row.Mode, row.Lanes)
 		}
-		if !simBacked && (row.SimCycles != 0 || row.SimEKIT != 0) {
+		if !simulated && (row.SimCycles != 0 || row.SimEKIT != 0) {
 			t.Errorf("model lanes=%d: unexpected sim fields: %+v", row.Lanes, row)
 		}
 	}

@@ -13,10 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dse"
-	"repro/internal/membw"
 	"repro/internal/perf"
 	"repro/internal/report"
 	"repro/internal/tir"
@@ -70,15 +68,6 @@ func DSEStrat(seed int64, budget int) (*DSEStratResult, error) {
 	if budget <= 0 {
 		budget = 24
 	}
-	t := device.GSD8Edu()
-	mdl, err := costmodel.Calibrate(t)
-	if err != nil {
-		return nil, err
-	}
-	bw, err := membw.Build(t)
-	if err != nil {
-		return nil, err
-	}
 	build := func(lanes int) (*tir.Module, error) { return Fig15Spec(lanes).Module() }
 	space, err := dse.NewSpace(
 		dse.LanesAxis(dse.LaneCounts(16)),
@@ -87,7 +76,11 @@ func DSEStrat(seed int64, budget int) (*DSEStratResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	eval := dse.NewEvaluator(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB)
+	eval, err := dse.NewEvaluator(dse.EvalConfig{Build: build, Workload: perf.Workload{NKI: 10},
+		Form: perf.FormB, Shelf: []*device.Target{device.GSD8Edu()}})
+	if err != nil {
+		return nil, err
+	}
 	eng := dse.NewEngine(space, eval, dseStratWorkers)
 
 	res := &DSEStratResult{

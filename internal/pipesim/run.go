@@ -16,7 +16,7 @@ var Oracle bool
 
 // Config selects the executor escalation level a design compiles with.
 // The zero value is the full escalation (fusion + batching), which is
-// what Run, RunIterations, Compile and NewRunner use; the Disable knobs
+// what Run, RunIterations and Compile use; the Disable knobs
 // exist for differential testing and benchmarking of the fallback paths
 // (-pipesim.scalar and -pipesim.nofuse replay the whole suite on them).
 // Every level is bit-identical by construction — the knobs trade speed,
@@ -63,8 +63,8 @@ func ParseExecLevel(s string) (Config, error) {
 // (cachedDesign), so a loop that calls Run on the same module pays
 // compilation once, not per call — the result is bit-identical to the
 // retained interpreter (RunOracle) either way. Callers that own the
-// module's lifetime should hold a CompiledDesign (Compile) or a Runner
-// directly.
+// module's lifetime should hold a CompiledDesign (Compile) and run its
+// instances directly.
 func Run(m *tir.Module, mem map[string][]int64) (*Result, error) {
 	if Oracle {
 		return RunOracle(m, mem)
@@ -74,65 +74,4 @@ func Run(m *tir.Module, mem map[string][]int64) (*Result, error) {
 		return nil, err
 	}
 	return d.Run(mem)
-}
-
-// Runner is the compatibility wrapper kept for existing call sites: one
-// CompiledDesign plus one dedicated Instance, behaving exactly like the
-// pre-split arena (compile once, reuse the scratch across Run calls,
-// results bit-identical). A Runner is not safe for concurrent use; for
-// concurrent execution share the CompiledDesign (r.Design(), or Compile
-// directly) and give each goroutine its own Instance.
-type Runner struct {
-	d    *CompiledDesign
-	inst *Instance
-}
-
-// NewRunner validates and compiles the module at the default executor
-// escalation (fusion + batching).
-func NewRunner(m *tir.Module) (*Runner, error) {
-	return NewRunnerConfig(m, defaultConfig)
-}
-
-// NewRunnerConfig validates and compiles the module at an explicit
-// executor escalation level.
-func NewRunnerConfig(m *tir.Module, cfg Config) (*Runner, error) {
-	d, err := CompileConfig(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Runner{d: d, inst: d.NewInstance()}, nil
-}
-
-// Design returns the runner's shareable compiled design: the immutable
-// half, safe to hand to any number of concurrent instances.
-func (r *Runner) Design() *CompiledDesign { return r.d }
-
-// FusionStats sums the superinstruction rewrites applied across every
-// compiled program of the design.
-func (r *Runner) FusionStats() FusionStats { return r.d.FusionStats() }
-
-// BatchedPrograms reports how many of the compiled programs run on the
-// batched executor.
-func (r *Runner) BatchedPrograms() (batched, total int) { return r.d.BatchedPrograms() }
-
-// SetWorkers bounds the goroutine pool used for concurrent par lanes.
-// The default is GOMAXPROCS at construction; n <= 1 forces the
-// sequential lane loop. The result is bit-identical either way.
-//
-// Deprecated: SetWorkers mutates the runner's instance and is therefore
-// only safe while the Runner is not executing. Pass the bound per
-// execution instead: Instance.RunWith(mem, RunOptions{Workers: n}).
-func (r *Runner) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.inst.workers = n
-}
-
-// Run executes one kernel-instance on the runner's dedicated instance.
-// See Instance.Run for the contract; the compiled programs and their
-// scratch are reused across calls, only the memory map and the result
-// are fresh.
-func (r *Runner) Run(mem map[string][]int64) (*Result, error) {
-	return r.inst.Run(mem)
 }

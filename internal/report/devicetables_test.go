@@ -25,7 +25,8 @@ func deviceResult(t *testing.T) *dse.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := dse.NewDeviceEvaluator(shelf, build, perf.Workload{NKI: 10}, perf.FormB)
+	eval, err := dse.NewEvaluator(dse.EvalConfig{Build: build, Workload: perf.Workload{NKI: 10},
+		Form: perf.FormB, Shelf: shelf})
 	if err != nil {
 		t.Fatal(err)
 	}
