@@ -8,8 +8,7 @@
 //
 //	tytradse [-kernel sor] [-target stratix-v-gsd8-edu] [-maxlanes 16] [-form A|B|C] [-nki 10]
 //	         [-strategy exhaustive|wall-pruned|pareto|hillclimb|anneal] [-budget N] [-seed N]
-//	         [-eval model|sim|hybrid] [-modeleval compiled|tree] [-simexec batched|nofuse|scalar]
-//	         [-j N] [-csv] [-devices name,name,...] [-cache DIR]
+//	         [-eval model|sim|hybrid] [-j N] [-csv] [-devices name,name,...] [-cache DIR]
 //
 // The -strategy flag selects the exploration strategy from the dse
 // strategy registry (the flag help lists exactly what parses):
@@ -32,12 +31,11 @@
 // printing the per-variant model/sim calibration table under the
 // sweep.
 //
-// The -modeleval flag selects the cost-model implementation under any
-// -eval mode: "compiled" (the default) prices variants through the
-// flat estimate program costmodel.Compile builds once per (kernel,
-// device), "tree" walks the original recursive estimator. The two are
-// pinned bit-identical, so this is purely a speed knob — "tree" exists
-// as the differential oracle.
+// Every mode prices variants through the flat estimate program
+// costmodel.Compile builds once per (kernel, device), and measures on
+// the batched, fused simulator executor. The tree-walk estimator and
+// the fallback executors are oracles, pinned bit-identical to them by
+// the dse differential tests; no flag selects them.
 //
 // -devices sweeps the variant family across a shelf of targets in one
 // lanes×device engine run instead of a single -target: the cost and
@@ -73,7 +71,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/kernels"
 	"repro/internal/perf"
-	"repro/internal/pipesim"
 	"repro/internal/report"
 	"repro/internal/roofline"
 	"repro/internal/tir"
@@ -92,21 +89,13 @@ type options struct {
 	kernel   string
 	form     perf.Form
 	mode     dse.EvalMode
-	emode    dse.ModelEvalMode
 	strategy dse.Strategy
 	search   dse.SearchOptions
-	exec     pipesim.Config
 	nki      int64
 	maxLanes int
 	jobs     int
 	csv      bool
 	store    *evalstore.Store
-}
-
-// simConfig is the simulation-measurement configuration both the
-// single- and multi-device paths hand to the sim-backed evaluators.
-func (o options) simConfig() dse.SimConfig {
-	return dse.SimConfig{Exec: o.exec, ModelEval: o.emode}
 }
 
 // showSearch reports whether the run's search provenance (trajectory
@@ -132,12 +121,6 @@ func run(args []string, out io.Writer) error {
 	budget := fs.Int("budget", 0, "max design-point evaluations the search may charge (0 = unlimited)")
 	seed := fs.Int64("seed", 0, "search RNG seed for the adaptive strategies (0 = default seed 1)")
 	evalName := fs.String("eval", "model", "variant scorer (model | sim | hybrid)")
-	modelEval := fs.String("modeleval", "compiled",
-		fmt.Sprintf("cost-model implementation (%s) — estimates are bit-identical, only the evaluation speed changes",
-			strings.Join(dse.ModelEvalNames(), " | ")))
-	simExec := fs.String("simexec", "batched",
-		fmt.Sprintf("simulator executor level for -eval sim|hybrid (%s) — results are bit-identical at every level, only the measurement speed changes",
-			strings.Join(pipesim.ExecLevelNames(), " | ")))
 	jobs := fs.Int("j", 0, "parallel evaluation workers (0 = all CPUs)")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	cacheDir := fs.String("cache", "",
@@ -166,15 +149,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	emode, err := dse.ParseModelEval(*modelEval)
-	if err != nil {
-		return err
-	}
 	form, err := perf.ParseForm(*formName)
-	if err != nil {
-		return err
-	}
-	exec, err := pipesim.ParseExecLevel(*simExec)
 	if err != nil {
 		return err
 	}
@@ -184,9 +159,9 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	opt := options{kernel: *kernel, form: form, mode: mode, emode: emode, strategy: st,
+	opt := options{kernel: *kernel, form: form, mode: mode, strategy: st,
 		search: dse.SearchOptions{Budget: dse.Budget{MaxEvals: *budget}, Seed: *seed},
-		exec:   exec, nki: *nki, maxLanes: *maxLanes, jobs: *jobs, csv: *csv, store: store}
+		nki:    *nki, maxLanes: *maxLanes, jobs: *jobs, csv: *csv, store: store}
 
 	if *devices != "" {
 		return runDevices(out, opt, strings.Split(*devices, ","))
@@ -220,7 +195,7 @@ func runSingle(out io.Writer, opt options, targetName string) error {
 		return err
 	}
 	res, err := c.ExploreSpaceMode(opt.mode, build, space, perf.Workload{NKI: opt.nki},
-		opt.form, opt.strategy, opt.jobs, opt.simConfig(), opt.search)
+		opt.form, opt.strategy, opt.jobs, dse.SimConfig{}, opt.search)
 	if err != nil {
 		return err
 	}
@@ -275,7 +250,7 @@ func runDevices(out io.Writer, opt options, names []string) error {
 		return err
 	}
 	eval, err := dse.NewEvaluator(dse.EvalConfig{Mode: opt.mode, Build: build,
-		Workload: perf.Workload{NKI: opt.nki}, Form: opt.form, Sim: opt.simConfig(),
+		Workload: perf.Workload{NKI: opt.nki}, Form: opt.form,
 		Shelf: shelf, Models: dse.NewModelCacheStore(opt.store)})
 	if err != nil {
 		return err

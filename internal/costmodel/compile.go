@@ -21,8 +21,8 @@ import (
 // The compiled program is pinned bit-identical to Model.
 // EstimateVectorised for every dv (the differential tests): the same
 // saturating Resources arithmetic in the same order, the same integer
-// divisions applied last. The tree walk stays as the oracle —
-// cmd/tytradse reaches it with -modeleval=tree.
+// divisions applied last. The tree walk stays as the oracle; the dse
+// differential tests reach it through the evaluator's estimate seam.
 //
 // A CompiledModel is immutable after Compile and safe for concurrent
 // use.

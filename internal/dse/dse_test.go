@@ -44,10 +44,12 @@ func fixtures(t testing.TB) (*costmodel.Model, *membw.Model) {
 
 func sorBuilder(lanes int) (*tir.Module, error) { return fig15Spec(lanes).Module() }
 
-// testEval builds an evaluator over a one-entry shelf holding mdl's
-// target, settled in cfg.Models (a fresh ModelCache when nil) with the
-// given models, so nothing is calibrated again.
-func testEval(t testing.TB, mdl *costmodel.Model, bw *membw.Model, cfg EvalConfig) Evaluator {
+// testEvaluator builds the production evaluator over a one-entry shelf
+// holding mdl's target, settled in cfg.Models (a fresh ModelCache when
+// nil) with the given models, so nothing is calibrated again. Tests
+// that need a seam (estimateFn, the measurer's exec or inputs) set it
+// on the result before the first point is evaluated.
+func testEvaluator(t testing.TB, mdl *costmodel.Model, bw *membw.Model, cfg EvalConfig) *evaluator {
 	t.Helper()
 	cfg.Shelf = []*device.Target{mdl.Target}
 	if cfg.Models == nil {
@@ -56,11 +58,17 @@ func testEval(t testing.TB, mdl *costmodel.Model, bw *membw.Model, cfg EvalConfi
 	if err := cfg.Models.Add(mdl.Target, mdl, bw); err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEvaluator(cfg)
+	ev, err := newEvaluator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ev
+}
+
+// testEval is testEvaluator with no seam set, as NewEvaluator returns it.
+func testEval(t testing.TB, mdl *costmodel.Model, bw *membw.Model, cfg EvalConfig) Evaluator {
+	t.Helper()
+	return testEvaluator(t, mdl, bw, cfg).eval
 }
 
 // sorEval is the evaluator most engine tests share: the Fig 15 SOR

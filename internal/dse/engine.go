@@ -72,50 +72,6 @@ func (mc *moduleCache) moduleIR(lanes int) (string, error) {
 	return cell.val, cell.err
 }
 
-// ModelEvalMode selects which implementation of the cost model scores
-// variants: the compiled flat estimate program (the default — see
-// costmodel.CompiledModel) or the tree-walk oracle it is pinned
-// bit-identical to. The two produce the same estimates on every input
-// (the differential tests enforce it), so this is a speed knob and a
-// cross-check lever, never a result knob.
-type ModelEvalMode int
-
-const (
-	// ModelEvalCompiled compiles (kernel IR × target) once per lane
-	// count and answers every (lanes, dv) estimate with closed-form
-	// arithmetic.
-	ModelEvalCompiled ModelEvalMode = iota
-	// ModelEvalTree walks the IR per estimate — the original oracle,
-	// kept reachable (tytradse -modeleval=tree) for differential runs.
-	ModelEvalTree
-)
-
-// String names the mode as the -modeleval flag spells it.
-func (m ModelEvalMode) String() string {
-	switch m {
-	case ModelEvalCompiled:
-		return "compiled"
-	case ModelEvalTree:
-		return "tree"
-	}
-	return fmt.Sprintf("modeleval-?(%d)", int(m))
-}
-
-// ModelEvalNames lists the canonical -modeleval flag values.
-func ModelEvalNames() []string { return []string{"compiled", "tree"} }
-
-// ParseModelEval resolves a -modeleval flag value; the empty string
-// selects the compiled default.
-func ParseModelEval(s string) (ModelEvalMode, error) {
-	switch s {
-	case "compiled", "":
-		return ModelEvalCompiled, nil
-	case "tree", "oracle":
-		return ModelEvalTree, nil
-	}
-	return 0, fmt.Errorf("dse: unknown model evaluation mode %q (have: %v)", s, ModelEvalNames())
-}
-
 // modelEval is the memoised cost-model half of the evaluator for one
 // shelf entry: estimates per (lanes, dv) over the shelf-wide module
 // cache. Every mode prices through it, so the resource bars, the walls
@@ -127,19 +83,15 @@ type modelEval struct {
 	w    perf.Workload
 	form perf.Form
 
-	// emode selects the compiled estimate program or the tree-walk
-	// oracle for cold estimates (warm paths — the in-memory memo and
-	// the store — are mode-independent, which the differential tests
-	// rely on).
-	emode ModelEvalMode
-
 	// store is the optional persistent tier: estimates are read through
 	// it (content-keyed by kernel IR, dv and target) and written back on
 	// recompute. nil keeps the evaluator purely in-memory.
 	store *evalstore.Store
-	// estimateFn is a test seam wrapping the estimator; the warm==cold
-	// differential tests count recomputations through it. nil selects
-	// the estimator emode names.
+	// estimateFn is a test seam replacing the estimator: the warm==cold
+	// differential tests count recomputations through it, and the
+	// compiled-vs-tree differentials route the tree-walk oracle
+	// (Model.EstimateVectorised) through it. nil selects the compiled
+	// estimate program.
 	estimateFn func(mdl *costmodel.Model, m *tir.Module, dv int) (*costmodel.Estimate, error)
 
 	ests     sync.Map // [2]int{lanes, dv} -> *onceCell[*costmodel.Estimate]
@@ -188,12 +140,9 @@ func (me *modelEval) estimate(lanes, dv int) (*costmodel.Estimate, error) {
 				return
 			}
 		}
-		switch {
-		case me.estimateFn != nil:
+		if me.estimateFn != nil {
 			cell.val, cell.err = me.estimateFn(me.mdl, m, dv)
-		case me.emode == ModelEvalTree:
-			cell.val, cell.err = me.mdl.EstimateVectorised(m, dv)
-		default:
+		} else {
 			var cm *costmodel.CompiledModel
 			if cm, cell.err = me.compiledModel(lanes, m); cell.err == nil {
 				cell.val, cell.err = cm.EstimateVectorised(dv)

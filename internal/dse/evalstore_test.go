@@ -10,6 +10,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/evalstore"
+	"repro/internal/kernels"
 	"repro/internal/membw"
 	"repro/internal/perf"
 	"repro/internal/tir"
@@ -34,11 +35,7 @@ func instrumentedEval(t *testing.T, mode EvalMode, mdl *costmodel.Model, bw *mem
 		t.Fatal(err)
 	}
 	cfg := EvalConfig{Mode: mode, Build: sorBuilder, Workload: perf.Workload{NKI: 10}, Form: perf.FormB,
-		Shelf: []*device.Target{mdl.Target}, Models: models,
-		Sim: SimConfig{Inputs: func(m *tir.Module, seed int64) (map[string][]int64, error) {
-			c.inputs.Add(1)
-			return SimInputs(m, seed)
-		}}}
+		Shelf: []*device.Target{mdl.Target}, Models: models}
 	ev, err := newEvaluator(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +45,10 @@ func instrumentedEval(t *testing.T, mode EvalMode, mdl *costmodel.Model, bw *mem
 		return mdl.EstimateVectorised(m, dv)
 	}
 	if ev.sm != nil {
-		// The counting wrapper IS SimInputs, so the content key stays
-		// valid; undo the custom-generator bypass the wrapper triggered.
-		ev.sm.customInputs = false
+		ev.sm.inputs = func(m *tir.Module, seed int64) (map[string][]int64, error) {
+			c.inputs.Add(1)
+			return SimInputs(m, seed)
+		}
 	}
 	return ev.eval
 }
@@ -301,39 +299,32 @@ func TestDeviceStoreWarmCold(t *testing.T) {
 	samePointsResult(t, "device-warm", warmRes, coldRes)
 }
 
-// TestCustomInputsBypassStore: a caller-supplied workload generator
-// cannot be content-hashed, so the persistent tier must not serve (or
-// archive) measurements for it.
-func TestCustomInputsBypassStore(t *testing.T) {
-	dir := t.TempDir()
-	run := func() int64 {
-		s, err := evalstore.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var n atomic.Int64
-		cfg := SimConfig{Inputs: func(m *tir.Module, seed int64) (map[string][]int64, error) {
-			n.Add(1)
-			return SimInputs(m, seed)
-		}}
-		sm := newSimMeasurer(newModuleCache(sorBuilder), cfg, s)
-		if _, err := sm.measure(2); err != nil {
-			t.Fatal(err)
-		}
-		return n.Load()
+// TestStoreKeysGolden pins the content keys the evaluator writes its
+// records under. A change to any of these strings re-keys every store
+// on disk (warm runs silently go cold), so it must be deliberate — a
+// schema-version bump under evalstore's rule — never a side effect.
+func TestStoreKeysGolden(t *testing.T) {
+	mods := newModuleCache(sorBuilder)
+	if got := newSimMeasurer(mods, SimConfig{}, nil).workloadDesc(); got != "seed=1 measure=1" {
+		t.Errorf("zero SimConfig workload = %q, want %q", got, "seed=1 measure=1")
 	}
-	if got := run(); got != 1 {
-		t.Fatalf("first run: %d measurements, want 1", got)
+	if got := newSimMeasurer(mods, SimConfig{Seed: 7}, nil).workloadDesc(); got != "seed=7 measure=1" {
+		t.Errorf("Seed 7 workload = %q, want %q", got, "seed=7 measure=1")
 	}
-	// Second process lifetime: still measured, never served from disk.
-	if got := run(); got != 1 {
-		t.Errorf("second run: %d measurements, want 1 (custom inputs must bypass the store)", got)
-	}
-	names, err := filepath.Glob(filepath.Join(dir, "simcycles-*.json"))
+
+	m, err := kernels.SORSpec{IM: 15, JM: 10, KM: 8, Lanes: 1}.Module()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 0 {
-		t.Errorf("custom-input measurements were archived: %v", names)
+	ir := m.String()
+	for _, c := range []struct{ name, got, want string }{
+		{"CyclesKey", evalstore.CyclesKey(ir, "seed=1 measure=1"),
+			"1da527a84890a6fa9e23bcf523c99ae96fe4b52fb3aff951832659bb1608a65b"},
+		{"EstimateKey", evalstore.EstimateKey(ir, 2, device.GSD8Edu()),
+			"3b9a443371337469b0db9992848e65ada630389e897693859116298e01432b6e"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
+		}
 	}
 }

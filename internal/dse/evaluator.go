@@ -146,8 +146,8 @@ type EvalConfig struct {
 	Workload perf.Workload
 	// Form is the memory-execution form of spaces without a form axis.
 	Form perf.Form
-	// Sim configures the simulator's measurement workload and selects
-	// the cost-model implementation (Sim.ModelEval) in every mode.
+	// Sim configures the simulator's measurement workload under EvalSim
+	// and EvalHybrid.
 	Sim SimConfig
 	// Shelf lists the targets the points are priced against: device
 	// axis values index it (see DeviceAxis), and spaces without a
@@ -175,7 +175,6 @@ type evaluator struct {
 	sm     *simMeasurer // nil under EvalModel
 	w      perf.Workload
 	form   perf.Form
-	emode  ModelEvalMode
 
 	// allowed and who are the axis check: the axes the mode can price,
 	// and how rejections name the evaluator.
@@ -232,7 +231,7 @@ func NewDeviceModeEvaluatorCache(mode EvalMode, shelf []*device.Target, build Va
 func newEvaluator(cfg EvalConfig) (*evaluator, error) {
 	ev := &evaluator{
 		mode: cfg.Mode, shelf: cfg.Shelf, models: cfg.Models,
-		w: cfg.Workload, form: cfg.Form, emode: cfg.Sim.ModelEval,
+		w: cfg.Workload, form: cfg.Form,
 	}
 	// No dv axis under the simulator: it executes one work-item per lane
 	// per cycle and cannot observe medium-grained vectorisation. Pure
@@ -292,7 +291,7 @@ func (ev *evaluator) modelEvalFor(idx int) (*modelEval, error) {
 			return
 		}
 		cell.val = &modelEval{mdl: mdl, bw: bw, mods: ev.mods, w: ev.w, form: ev.form,
-			emode: ev.emode, store: ev.models.store, estimateFn: ev.estimateFn}
+			store: ev.models.store, estimateFn: ev.estimateFn}
 	})
 	return cell.val, cell.err
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/membw"
 	"repro/internal/perf"
+	"repro/internal/tir"
 )
 
 // TestSpaceIndexRoundTrip is the dense-index property test: over a set
@@ -61,12 +62,13 @@ func TestSpaceIndexRoundTrip(t *testing.T) {
 }
 
 // modelDiffSpace is the differential corpus: every axis the model
-// evaluator prices, with lane counts off the powers of two and dv
-// values that exercise the controller's integer division both ways.
+// evaluator prices, every sor lane count in 1–8 (the rows of a
+// `tytradse -kernel sor -maxlanes 8` run) and dv values that exercise
+// the controller's integer division both ways.
 func modelDiffSpace(t *testing.T) *Space {
 	t.Helper()
 	s, err := NewSpace(
-		LanesAxis([]int{1, 2, 3, 4, 8}),
+		LanesAxis([]int{1, 2, 3, 4, 5, 6, 7, 8}),
 		DVAxis([]int{1, 2, 3, 5, 8}),
 		FormAxis(perf.FormA, perf.FormB),
 		FclkAxis([]int{100, 200}),
@@ -77,29 +79,38 @@ func modelDiffSpace(t *testing.T) *Space {
 	return s
 }
 
+// treeEstimate is the tree-walk oracle the compiled estimate program
+// is pinned to, in the shape of the modelEval.estimateFn seam.
+func treeEstimate(mdl *costmodel.Model, m *tir.Module, dv int) (*costmodel.Estimate, error) {
+	return mdl.EstimateVectorised(m, dv)
+}
+
 // TestCompiledTreeEngineDifferential pins the compiled estimate
 // program bit-identical to the tree-walk oracle through the whole
-// engine assembly: the same space evaluated under ModelEvalCompiled
-// and ModelEvalTree must produce deeply equal points — estimates,
-// utilisations, EKIT, everything — at every worker count.
+// engine assembly: the same space evaluated by the production
+// evaluator and by one whose estimateFn seam walks the tree must
+// produce deeply equal points — estimates, utilisations, EKIT,
+// everything — at every worker count.
 func TestCompiledTreeEngineDifferential(t *testing.T) {
 	mdl, bw := fixtures(t)
 	space := modelDiffSpace(t)
 	w := perf.Workload{NKI: 10}
 
-	run := func(emode ModelEvalMode, workers int) []*Point {
-		ev := testEval(t, mdl, bw, EvalConfig{Build: sorBuilder, Workload: w, Form: perf.FormB,
-			Sim: SimConfig{ModelEval: emode}})
-		ps, err := NewEngine(space, ev, workers).EvalAll(space.Enumerate())
+	run := func(tree bool, workers int) []*Point {
+		ev := testEvaluator(t, mdl, bw, EvalConfig{Build: sorBuilder, Workload: w, Form: perf.FormB})
+		if tree {
+			ev.estimateFn = treeEstimate
+		}
+		ps, err := NewEngine(space, ev.eval, workers).EvalAll(space.Enumerate())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ps
 	}
 
-	want := run(ModelEvalTree, 1)
+	want := run(true, 1)
 	for _, workers := range []int{1, 4, 8} {
-		got := run(ModelEvalCompiled, workers)
+		got := run(false, workers)
 		for i := range want {
 			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Fatalf("j=%d: point %d (%s) differs: compiled %+v tree %+v",
@@ -112,7 +123,7 @@ func TestCompiledTreeEngineDifferential(t *testing.T) {
 // TestCompiledTreeDeviceDifferential extends the differential across a
 // device shelf: per-device compiled models must price identically to
 // the oracle on every shelf entry. One shared ModelCache keeps the
-// shelf calibrated once across both modes.
+// shelf calibrated once across both estimators.
 func TestCompiledTreeDeviceDifferential(t *testing.T) {
 	shelf := []*device.Target{device.GSD8Edu(), device.StratixVGSD8()}
 	space, err := NewSpace(
@@ -126,58 +137,31 @@ func TestCompiledTreeDeviceDifferential(t *testing.T) {
 	cache := NewModelCache()
 	w := perf.Workload{NKI: 10}
 
-	run := func(emode ModelEvalMode, workers int) []*Point {
-		ev, err := NewEvaluator(EvalConfig{Build: sorBuilder, Workload: w, Form: perf.FormB,
-			Sim: SimConfig{ModelEval: emode}, Shelf: shelf, Models: cache})
+	run := func(tree bool, workers int) []*Point {
+		ev, err := newEvaluator(EvalConfig{Build: sorBuilder, Workload: w, Form: perf.FormB,
+			Shelf: shelf, Models: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := NewEngine(space, ev, workers).EvalAll(space.Enumerate())
+		if tree {
+			ev.estimateFn = treeEstimate
+		}
+		ps, err := NewEngine(space, ev.eval, workers).EvalAll(space.Enumerate())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ps
 	}
 
-	want := run(ModelEvalTree, 1)
+	want := run(true, 1)
 	for _, workers := range []int{1, 4, 8} {
-		got := run(ModelEvalCompiled, workers)
+		got := run(false, workers)
 		for i := range want {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("j=%d: point %d (%s) differs across modes",
+				t.Fatalf("j=%d: point %d (%s) differs between compiled and tree",
 					workers, i, space.Describe(space.VariantAt(i)))
 			}
 		}
-	}
-}
-
-// TestParseModelEval pins the flag surface of -modeleval.
-func TestParseModelEval(t *testing.T) {
-	cases := []struct {
-		in   string
-		want ModelEvalMode
-		err  bool
-	}{
-		{"", ModelEvalCompiled, false},
-		{"compiled", ModelEvalCompiled, false},
-		{"tree", ModelEvalTree, false},
-		{"oracle", ModelEvalTree, false},
-		{"fast", 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseModelEval(c.in)
-		if c.err {
-			if err == nil {
-				t.Errorf("ParseModelEval(%q): no error", c.in)
-			}
-			continue
-		}
-		if err != nil || got != c.want {
-			t.Errorf("ParseModelEval(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	if got := ModelEvalNames(); len(got) != 2 || got[0] != "compiled" || got[1] != "tree" {
-		t.Errorf("ModelEvalNames() = %v", got)
 	}
 }
 

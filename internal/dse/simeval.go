@@ -59,53 +59,10 @@ func ParseEvalMode(s string) (EvalMode, error) {
 }
 
 // SimConfig configures the evaluator's simulator measurement workload
-// (EvalSim and EvalHybrid) and its cost-model implementation. The zero
-// value is ready to use.
+// (EvalSim and EvalHybrid). The zero value is ready to use.
 type SimConfig struct {
-	// Warmup is the number of kernel-instances executed before
-	// measurement begins (default 0 — the design is compiled before
-	// any instance runs, so a warm-up only matters when the
-	// caller wants to shake allocator effects out of wall-clock
-	// benchmarks).
-	Warmup int
-	// Measure is the number of measured kernel-instances (default 1).
-	// The simulator is deterministic, so one instance is exact; larger
-	// values make the evaluator verify that stability and fail loudly
-	// on any nondeterminism.
-	Measure int
 	// Seed keys the deterministic input workload (default 1).
 	Seed int64
-	// Inputs overrides the workload generator; nil selects SimInputs.
-	Inputs func(m *tir.Module, seed int64) (map[string][]int64, error)
-	// Exec selects the executor escalation level the measured design
-	// compiles with (zero value = batched + fused). Any level yields
-	// byte-identical cycle counts and outputs — the executors are pinned
-	// bit-exact against each other — so this is a speed knob, not a
-	// result knob.
-	Exec pipesim.Config
-	// ModelEval selects the cost-model implementation the evaluator's
-	// model half runs on in every mode: the compiled flat estimate program (zero
-	// value) or the tree-walk oracle (the -modeleval flag of
-	// cmd/tytradse). Like Exec, a speed knob, never a result knob — the
-	// two are pinned bit-identical.
-	ModelEval ModelEvalMode
-}
-
-// withDefaults resolves the zero values.
-func (c SimConfig) withDefaults() SimConfig {
-	if c.Warmup < 0 {
-		c.Warmup = 0
-	}
-	if c.Measure < 1 {
-		c.Measure = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Inputs == nil {
-		c.Inputs = SimInputs
-	}
-	return c
 }
 
 // SimInputs generates the deterministic simulation workload for a
@@ -187,37 +144,43 @@ type measOutcome struct {
 // evaluator nearly free.
 type simMeasurer struct {
 	mods    *moduleCache
-	cfg     SimConfig
+	seed    int64
 	designs sync.Map // lanes int -> *onceCell[*pipesim.CompiledDesign]
 	meas    sync.Map // lanes int -> measOutcome
 
 	// store, when non-nil, persists measurements content-addressed by
 	// (kernel IR, measurement workload): a warm run answers measure()
-	// without compiling a design or generating inputs. customInputs
-	// records that the caller supplied its own workload generator —
-	// a function cannot be content-hashed, so the persistent tier is
-	// bypassed (the in-memory memo above still applies).
-	store        *evalstore.Store
-	customInputs bool
+	// without compiling a design or generating inputs.
+	store *evalstore.Store
+
+	// exec is a test seam selecting the executor escalation level the
+	// designs compile with; the zero value is batched + fused. Every
+	// level is pinned bit-exact, so the executor differential replays
+	// the DSE on the fallback levels through it.
+	exec pipesim.Config
+	// inputs generates the measurement workload: SimInputs, or a test
+	// seam that the warm==cold differential tests count measurements
+	// through. A seam must return SimInputs' workload, since the store
+	// is keyed by the seed alone.
+	inputs func(m *tir.Module, seed int64) (map[string][]int64, error)
 }
 
 func newSimMeasurer(mods *moduleCache, cfg SimConfig, store *evalstore.Store) *simMeasurer {
-	return &simMeasurer{
-		mods:         mods,
-		cfg:          cfg.withDefaults(),
-		store:        store,
-		customInputs: cfg.Inputs != nil,
+	seed := cfg.Seed
+	if seed == 0 {
+		seed = 1
 	}
+	return &simMeasurer{mods: mods, seed: seed, store: store, inputs: SimInputs}
 }
 
 // workloadDesc canonically describes the measurement workload for the
 // cycles content key. The executor level is deliberately absent: the
-// executors are pinned bit-exact against each other (Exec is a speed
-// knob, not a result knob), so a scalar-level measurement may answer a
-// batched-level query. Warmup is absent for the same reason — the
-// simulator is deterministic, warm-up cannot change the measurement.
+// executors are pinned bit-exact against each other, so a measurement
+// taken at any level answers a query at any other. "measure=1" is the
+// one measured kernel-instance; dropping it would re-key every existing
+// store (TestStoreKeysGolden pins the text).
 func (sm *simMeasurer) workloadDesc() string {
-	return fmt.Sprintf("seed=%d measure=%d", sm.cfg.Seed, sm.cfg.Measure)
+	return fmt.Sprintf("seed=%d measure=1", sm.seed)
 }
 
 // design returns the shared compiled design of a lane count, compiling
@@ -233,7 +196,7 @@ func (sm *simMeasurer) design(lanes int) (*pipesim.CompiledDesign, error) {
 			cell.err = err
 			return
 		}
-		cell.val, cell.err = pipesim.CompileConfig(m, sm.cfg.Exec)
+		cell.val, cell.err = pipesim.CompileConfig(m, sm.exec)
 		if cell.err != nil {
 			cell.err = fmt.Errorf("dse: compiling %d-lane variant: %w", lanes, cell.err)
 		}
@@ -285,10 +248,10 @@ func (sm *simMeasurer) measure(lanes int) (simMeasure, error) {
 
 // cyclesKey returns the persistent content address of a lane count's
 // measurement, or ok=false when the persistent tier does not apply
-// (no store, un-hashable custom workload, or the module itself failed
-// to build — the compute path will surface that error).
+// (no store, or the module itself failed to build — the compute path
+// will surface that error).
 func (sm *simMeasurer) cyclesKey(lanes int) (string, bool) {
-	if sm.store == nil || sm.customInputs {
+	if sm.store == nil {
 		return "", false
 	}
 	ir, err := sm.mods.moduleIR(lanes)
@@ -298,9 +261,9 @@ func (sm *simMeasurer) cyclesKey(lanes int) (string, bool) {
 	return evalstore.CyclesKey(ir, sm.workloadDesc()), true
 }
 
-// runMeasurement drives the warm-up + measurement workload through a
-// pooled Instance of the lane count's shared compiled design. The
-// design is immutable, so any number of workers can measure (or
+// runMeasurement runs one kernel-instance of the generated workload
+// through a pooled Instance of the lane count's shared compiled design.
+// The design is immutable, so any number of workers can measure (or
 // otherwise execute) it concurrently. With a persistent store attached
 // an archived measurement short-circuits the whole path — no design is
 // compiled and no workload generated — and a fresh measurement is
@@ -317,39 +280,22 @@ func (sm *simMeasurer) runMeasurement(lanes int) measOutcome {
 	if err != nil {
 		return fail(err)
 	}
-	mem, err := sm.cfg.Inputs(d.Module(), sm.cfg.Seed)
+	mem, err := sm.inputs(d.Module(), sm.seed)
 	if err != nil {
 		return fail(fmt.Errorf("dse: generating %d-lane workload: %w", lanes, err))
 	}
 	inst := d.Acquire()
 	defer d.Release(inst)
-	for i := 0; i < sm.cfg.Warmup; i++ {
-		if _, err := inst.Run(mem); err != nil {
-			return fail(fmt.Errorf("dse: simulating %d-lane variant (warm-up): %w", lanes, err))
-		}
+	res, err := inst.Run(mem)
+	if err != nil {
+		return fail(fmt.Errorf("dse: simulating %d-lane variant: %w", lanes, err))
 	}
-	var first *pipesim.Result
-	for i := 0; i < sm.cfg.Measure; i++ {
-		res, err := inst.Run(mem)
-		if err != nil {
-			return fail(fmt.Errorf("dse: simulating %d-lane variant: %w", lanes, err))
-		}
-		if first == nil {
-			first = res
-			continue
-		}
-		if res.Cycles != first.Cycles || res.Items != first.Items {
-			return fail(fmt.Errorf(
-				"dse: %d-lane simulation is nondeterministic: instance 0 ran %d cycles / %d items, instance %d ran %d / %d",
-				lanes, first.Cycles, first.Items, i, res.Cycles, res.Items))
-		}
-	}
-	if first.Cycles <= 0 || first.Items <= 0 {
+	if res.Cycles <= 0 || res.Items <= 0 {
 		return fail(fmt.Errorf("dse: %d-lane variant simulated no work (%d cycles, %d items)",
-			lanes, first.Cycles, first.Items))
+			lanes, res.Cycles, res.Items))
 	}
 	if persist {
-		_ = evalstore.SaveCycles(sm.store, key, first.Cycles, first.Items)
+		_ = evalstore.SaveCycles(sm.store, key, res.Cycles, res.Items)
 	}
-	return measOutcome{meas: simMeasure{cycles: first.Cycles, items: first.Items}}
+	return measOutcome{meas: simMeasure{cycles: res.Cycles, items: res.Items}}
 }

@@ -46,8 +46,7 @@ func TestDifferentialSimVsModelOrdering(t *testing.T) {
 			t.Fatalf("%s model: %v", name, err)
 		}
 		simRes, err := NewEngine(space,
-			testEval(t, mdl, bw, EvalConfig{Mode: EvalSim, Build: build, Workload: w, Form: perf.FormB,
-				Sim: SimConfig{Measure: 2}}), 0).
+			testEval(t, mdl, bw, EvalConfig{Mode: EvalSim, Build: build, Workload: w, Form: perf.FormB}), 0).
 			Run(Exhaustive{})
 		if err != nil {
 			t.Fatalf("%s sim: %v", name, err)
@@ -205,7 +204,7 @@ func TestSimEvaluatorDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		eval := testEval(t, mdl, bw, EvalConfig{Mode: EvalHybrid, Build: build, Workload: w,
-			Form: perf.FormB, Sim: SimConfig{Measure: 2}})
+			Form: perf.FormB})
 		res, err := NewEngine(space, eval, workers).Run(Exhaustive{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -227,8 +226,8 @@ func TestSimEvaluatorDeterministicAcrossWorkers(t *testing.T) {
 // batched+fused executor, the fusion-only level and the plain scalar
 // loop must produce byte-identical results (cycle counts, throughput
 // bit patterns, best design) at one worker and at all CPUs. The
-// SimConfig.Exec knob may change measurement speed only, never a
-// number.
+// level reaches the measurer through its exec test seam; it may change
+// measurement speed only, never a number.
 func TestDifferentialSimExecBatchedVsScalar(t *testing.T) {
 	mdl, bw := fixtures(t)
 	w := perf.Workload{NKI: 10}
@@ -246,9 +245,10 @@ func TestDifferentialSimExecBatchedVsScalar(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eval := testEval(t, mdl, bw, EvalConfig{Mode: EvalSim, Build: build, Workload: w,
-					Form: perf.FormB, Sim: SimConfig{Measure: 2, Exec: exec}})
-				res, err := NewEngine(space, eval, workers).Run(Exhaustive{})
+				ev := testEvaluator(t, mdl, bw, EvalConfig{Mode: EvalSim, Build: build, Workload: w,
+					Form: perf.FormB})
+				ev.sm.exec = exec
+				res, err := NewEngine(space, ev.eval, workers).Run(Exhaustive{})
 				if err != nil {
 					t.Fatalf("%s exec=%+v workers=%d: %v", name, exec, workers, err)
 				}

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -255,23 +256,37 @@ func PipesimBench(minTime time.Duration) (*PipesimBenchResult, error) {
 
 // allocPerOp measures heap allocations per call (count and bytes) from
 // the runtime's monotonic malloc counters, pinned to one P so no
-// background goroutine pollutes the delta.
+// background goroutine pollutes the delta. It reports the median of
+// per-call deltas, not their mean: a pooled call that now and then
+// allocates a fresh Instance (the race detector makes sync.Pool drop
+// one Put in four; a GC empties the pool) is an outlier, not the
+// steady state the figure describes.
 func allocPerOp(f func() error) (allocs, bytes float64, err error) {
-	const runs = 32
-	if err := f(); err != nil { // warm caches and surface errors early
+	const runs = 31 // an odd count: the median is one measured call
+	// Warm caches and surface errors early.
+	if err := f(); err != nil {
 		return 0, 0, err
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+	counts := make([]float64, runs)
+	sizes := make([]float64, runs)
+	for i := range counts {
+		runtime.ReadMemStats(&before)
 		if err := f(); err != nil {
 			return 0, 0, err
 		}
+		runtime.ReadMemStats(&after)
+		counts[i] = float64(after.Mallocs - before.Mallocs)
+		sizes[i] = float64(after.TotalAlloc - before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs,
-		float64(after.TotalAlloc-before.TotalAlloc) / runs, nil
+	return median(counts), median(sizes), nil
+}
+
+// median returns the middle element of xs, sorting it in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 // concurrentThroughput measures the aggregate rate of `workers`

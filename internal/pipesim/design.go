@@ -31,7 +31,6 @@ type CompiledDesign struct {
 	m      *tir.Module
 	ix     *tir.Index // built once at compile; resolves call-site ports and RunWith inputs
 	tree   *tir.ConfigNode
-	cfg    Config
 	progs  map[*tir.CallInstr]*program
 	calls  map[*tir.ConfigNode][]*tir.CallInstr // per-node call sites, resolved once
 	nprogs int
@@ -63,7 +62,6 @@ func CompileConfig(m *tir.Module, cfg Config) (*CompiledDesign, error) {
 		m:       m,
 		ix:      m.Index(),
 		tree:    tree,
-		cfg:     cfg,
 		progs:   map[*tir.CallInstr]*program{},
 		calls:   map[*tir.ConfigNode][]*tir.CallInstr{},
 		workers: runtime.GOMAXPROCS(0),
@@ -105,9 +103,6 @@ func (d *CompiledDesign) compileTree(env *compileEnv, n *tir.ConfigNode) error {
 
 // Module returns the validated module the design was compiled from.
 func (d *CompiledDesign) Module() *tir.Module { return d.m }
-
-// Config returns the executor escalation level the design compiled at.
-func (d *CompiledDesign) Config() Config { return d.cfg }
 
 // FusionStats sums the superinstruction rewrites applied across every
 // compiled program of the design.

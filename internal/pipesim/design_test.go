@@ -359,7 +359,7 @@ func TestReleaseForeignInstancePanics(t *testing.T) {
 // map-internals noise but far below one progState re-init, so a
 // regression that re-allocates scratch per run trips it immediately.
 func TestPooledRunAllocations(t *testing.T) {
-	if Oracle {
+	if oracle {
 		t.Skip("oracle mode does not use the compiled instance pool")
 	}
 	spec := kernels.SORSpec{IM: 15, JM: 10, KM: 8, Lanes: 1}

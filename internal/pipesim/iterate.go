@@ -39,7 +39,7 @@ type IterationResult struct {
 // reuses the compiled programs (or, under -pipesim.oracle, the
 // interpreter).
 func RunIterations(m *tir.Module, mem map[string][]int64, nki int64, fb Feedback) (*IterationResult, error) {
-	if Oracle {
+	if oracle {
 		return runIterations(m, func(cur map[string][]int64) (*Result, error) {
 			return RunOracle(m, cur)
 		}, mem, nki, fb)

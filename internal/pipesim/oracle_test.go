@@ -19,7 +19,7 @@ import "flag"
 //
 //	go test -race ./internal/pipesim -pipesim.scalar -pipesim.nofuse
 func init() {
-	flag.BoolVar(&Oracle, "pipesim.oracle", false,
+	flag.BoolVar(&oracle, "pipesim.oracle", false,
 		"route pipesim.Run through the retained interpreter (oracle) instead of the compiled executor")
 	flag.BoolVar(&defaultConfig.DisableBatch, "pipesim.scalar", false,
 		"compile without the batched executor (scalar per-item loop only)")

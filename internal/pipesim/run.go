@@ -1,18 +1,14 @@
 package pipesim
 
-import (
-	"fmt"
+import "repro/internal/tir"
 
-	"repro/internal/tir"
-)
-
-// Oracle, when true, routes Run and RunIterations through the retained
+// oracle, when true, routes Run and RunIterations through the retained
 // wave-by-wave interpreter instead of the compiled executor. It exists
 // for differential testing: `go test ./internal/pipesim -pipesim.oracle`
 // replays the whole pipesim test suite on the oracle (the flag is
 // registered in oracle_test.go, so no build tags and no flag pollution
 // in shipped binaries).
-var Oracle bool
+var oracle bool
 
 // Config selects the executor escalation level a design compiles with.
 // The zero value is the full escalation (fusion + batching), which is
@@ -32,27 +28,6 @@ type Config struct {
 // by the test flags registered in oracle_test.go.
 var defaultConfig Config
 
-// ExecLevelNames lists the executor escalation levels ParseExecLevel
-// accepts, fastest first — the spelling CLI flags should advertise.
-func ExecLevelNames() []string { return []string{"batched", "nofuse", "scalar"} }
-
-// ParseExecLevel resolves a named executor escalation level (a CLI
-// -simexec value) to its compile configuration: "batched" (the default
-// full escalation), "nofuse" (batched, fusion off), "scalar" (the plain
-// per-item compiled loop, fusion off). All levels produce bit-identical
-// results; the name only picks how fast the simulator gets them.
-func ParseExecLevel(s string) (Config, error) {
-	switch s {
-	case "", "batched":
-		return Config{}, nil
-	case "nofuse":
-		return Config{DisableFuse: true}, nil
-	case "scalar":
-		return Config{DisableBatch: true, DisableFuse: true}, nil
-	}
-	return Config{}, fmt.Errorf("pipesim: unknown executor level %q (have: %v)", s, ExecLevelNames())
-}
-
 // Run executes the design variant on the given memory-object contents.
 // mem must provide an array of exactly the declared size for every
 // memory object that feeds an input stream not produced by another
@@ -66,7 +41,7 @@ func ParseExecLevel(s string) (Config, error) {
 // module's lifetime should hold a CompiledDesign (Compile) and run its
 // instances directly.
 func Run(m *tir.Module, mem map[string][]int64) (*Result, error) {
-	if Oracle {
+	if oracle {
 		return RunOracle(m, mem)
 	}
 	d, err := cachedDesign(m, defaultConfig)
